@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import frobenius, suite as suite_mod
-from .scalar import LAMBDA, LambdaPoly, LambdaRat, lrat
+from .scalar import LAMBDA, LambdaPoly, LambdaRat, PoleError, lrat
 from .xpoly import X, XPoly
 
 
@@ -230,6 +230,20 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
+def _at_least(least: int):
+    """argparse type: an integer no less than `least`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a malformed value as "invalid int value"
+    return parse
+
+
+_NATURAL = _at_least(0)
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -246,6 +260,12 @@ def _emit_table(args, header, rows, latex_lines, json_obj) -> str:
     if args.format == "latex":
         return "\n".join(latex_lines) + "\n"
     return json.dumps(json_obj) + "\n"
+
+
+def _cells_csv(cells) -> str:
+    return _csv_text(("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
+                     [(c.identity, json.dumps(c.params, sort_keys=True), c.status,
+                       c.lhs, c.rhs, c.elapsed_us) for c in cells])
 
 
 def _cmd_numbers(args) -> int:
@@ -291,9 +311,13 @@ def _cmd_convert(args) -> int:
     e = frobenius.to_fe_basis(p, args.order)
     coeffs = list(e.coefficients)
     if args.lam is not None:
-        shown = [str(c.evaluate(args.lam)) for c in coeffs]
-        latex = [f"C_{{{k}}} = {latex_fraction(c.evaluate(args.lam))} \\\\"
-                 for k, c in enumerate(coeffs)]
+        try:
+            values = [c.evaluate(args.lam) for c in coeffs]
+        except PoleError as exc:
+            sys.stderr.write(f"error: a coefficient has a {exc}\n")
+            return 2
+        shown = [str(v) for v in values]
+        latex = [f"C_{{{k}}} = {latex_fraction(v)} \\\\" for k, v in enumerate(values)]
     else:
         shown = [str(c) for c in coeffs]
         latex = [f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs)]
@@ -324,66 +348,21 @@ def _cmd_stirling(args) -> int:
     return 0
 
 
-def _cell_json(cell) -> str:
-    return json.dumps({
-        "identity": cell.identity,
-        "params": {k: cell.params[k] for k in sorted(cell.params)},
-        "status": cell.status,
-        "lhs": cell.lhs,
-        "rhs": cell.rhs,
-        "elapsed_us": cell.elapsed_us,
-    })
-
-
-_NEEDS = {
-    "thm2": ("n", "r", "s"),
-    "cor3": ("n", "r"),
-    "cor4": ("n", "r"),
-    "thm5": ("n", "r"),
-    "thm6": ("n", "r"),
-    "remark": ("n", "r"),
-    "eq15_duality": ("n", "k", "r"),
-    "eq12_ladder": ("n", "r"),
-    "eq22_ladder": ("n", "r"),
-    "thm1_roundtrip": ("index",),
-}
-
-
 def _cmd_verify(args, seed: int) -> int:
-    needed = _NEEDS[args.identity]
-    given = {"n": args.n, "r": args.r, "s": args.s, "k": args.k, "index": args.index}
-    missing = [name for name in needed if given[name] is None]
-    if missing:
-        sys.stderr.write(
-            f"error: {args.identity} needs --{', --'.join(missing)}\n")
+    least, _ = suite_mod.IDENTITIES[args.identity]
+    values = {name: getattr(args, name) for name in least}
+    unmet = [f"--{name}" for name, v in values.items() if v is None] or [
+        f"--{name} >= {lo}" for name, lo in least.items() if lo is not None and values[name] < lo]
+    if unmet:
+        sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
         return 2
-    if args.identity == "thm2":
-        cell = suite_mod.verify_thm2(args.n, args.r, args.s)
-    elif args.identity == "cor3":
-        cell = suite_mod.verify_cor3(args.n, args.r)
-    elif args.identity == "cor4":
-        cell = suite_mod.verify_cor4(args.n, args.r)
-    elif args.identity == "thm5":
-        cell = suite_mod.verify_thm5(args.n, args.r)
-    elif args.identity == "thm6":
-        cell = suite_mod.verify_thm6(args.n, args.r)
-    elif args.identity == "remark":
-        cell = suite_mod.verify_remark(args.n, args.r)
-    elif args.identity == "eq15_duality":
-        cell = suite_mod.verify_eq15_duality(args.n, args.k, args.r)
-    elif args.identity == "eq12_ladder":
-        cell = suite_mod.verify_eq12_ladder(args.n, args.r)
-    elif args.identity == "eq22_ladder":
-        cell = suite_mod.verify_eq22_ladder(args.n, args.r)
-    else:
-        cell = suite_mod.verify_thm1_roundtrip(args.index, seed=seed)
+    if args.identity == "thm1_roundtrip":
+        values["p"], values["r"] = suite_mod.roundtrip_inputs(seed, args.index + 1)[-1]
+    cell = getattr(suite_mod, "verify_" + args.identity)(**values)
     if args.format == "json":
-        sys.stdout.write(_cell_json(cell) + "\n")
+        sys.stdout.write(cell.to_json() + "\n")
     elif args.format == "csv":
-        sys.stdout.write(_csv_text(
-            ("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
-            [(cell.identity, json.dumps(cell.params, sort_keys=True),
-              cell.status, cell.lhs, cell.rhs, cell.elapsed_us)]))
+        sys.stdout.write(_cells_csv([cell]))
     elif args.format == "latex":
         ps = ", ".join(f"{k}={cell.params[k]}" for k in sorted(cell.params))
         sys.stdout.write(
@@ -401,38 +380,20 @@ def _cmd_suite(args, seed: int) -> int:
     if args.format == "json":
         sys.stdout.write(report.to_jsonl())
     elif args.format == "csv":
-        rows = [(c.identity, json.dumps(c.params, sort_keys=True), c.status,
-                 c.lhs, c.rhs, c.elapsed_us) for c in report.cells]
-        sys.stdout.write(_csv_text(
-            ("identity", "params", "status", "lhs", "rhs", "elapsed_us"), rows))
+        sys.stdout.write(_cells_csv(report.cells))
     elif args.format == "latex":
         lines = ["\\begin{tabular}{lrrrr}",
                  "identity & cells & equal & mismatch & skipped \\\\"]
-        for ident in suite_mod.IDENTITY_IDS:
-            group = [c for c in report.cells if c.identity == ident]
-            if not group:
-                continue
-            eq = sum(c.status == "equal" for c in group)
-            mi = sum(c.status == "mismatch" for c in group)
-            sk = sum(c.status == "skipped" for c in group)
-            lines.append(f"{ident.replace('_', chr(92) + '_')} & "
-                         f"{len(group)} & {eq} & {mi} & {sk} \\\\")
+        for ident, t in report.tallies().items():
+            lines.append(f"{ident.replace('_', chr(92) + '_')} & {t['total']} & "
+                         f"{t['equal']} & {t['mismatch']} & {t['skipped']} \\\\")
         lines.append("\\end{tabular}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        totals = report.totals()
-        for ident in suite_mod.IDENTITY_IDS:
-            group = [c for c in report.cells if c.identity == ident]
-            if not group:
-                continue
-            eq = sum(c.status == "equal" for c in group)
-            mi = sum(c.status == "mismatch" for c in group)
-            sk = sum(c.status == "skipped" for c in group)
-            sys.stdout.write(
-                f"{ident}: {len(group)} cells, {eq} equal, {mi} mismatch, {sk} skipped\n")
-        sys.stdout.write(
-            "total: {total} cells, {equal} equal, {mismatch} mismatch, "
-            "{skipped} skipped\n".format(**totals))
+        rows = dict(report.tallies(), total=report.totals())
+        for name, t in rows.items():
+            sys.stdout.write(f"{name}: {t['total']} cells, {t['equal']} equal, "
+                             f"{t['mismatch']} mismatch, {t['skipped']} skipped\n")
     return 0 if report.ok else 1
 
 
@@ -451,23 +412,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("numbers", parents=[fmt, lam],
                        help="table of H_n^{(r)}(L) for n = 0..n-max")
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_NATURAL, default=10)
     p.add_argument("--order", type=int, default=1)
 
     p = sub.add_parser("poly", parents=[fmt, lam],
                        help="the polynomial H_n^{(r)}(x|L)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_NATURAL, required=True)
     p.add_argument("--order", type=int, default=1)
 
     p = sub.add_parser("convert", parents=[fmt, lam],
                        help="expand a polynomial expression in the order-r basis")
     p.add_argument("--poly", required=True, metavar="EXPR")
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--order", type=_NATURAL, default=1)
 
     p = sub.add_parser("stirling", parents=[fmt, lam],
                        help="the L-analogue Stirling number S_L(n,k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_NATURAL, required=True)
+    p.add_argument("--k", type=_NATURAL, required=True)
 
     p = sub.add_parser("verify", parents=[fmt],
                        help="run one identity cell")
@@ -481,10 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", parents=[fmt],
                        help="run the full identity grid and report")
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--s-max", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--n-max", type=_NATURAL, default=10)
+    p.add_argument("--r-max", type=_NATURAL, default=4)
+    p.add_argument("--s-max", type=_NATURAL, default=4)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
 
     return top

@@ -26,15 +26,18 @@ _L_MINUS_ONE_INV = (LAMBDA - ONE).inverse()
 
 
 class FeulerCache:
-    """Memoized tables of numbers (by order) and polynomials (by n, order)."""
+    """Memoized tables of numbers (by order), polynomials (by n, order)
+    and series (by order, truncation)."""
 
     def __init__(self):
         self._rows = {}
         self._polys = {}
+        self._series = {}
 
     def clear(self):
         self._rows.clear()
         self._polys.clear()
+        self._series.clear()
 
     def _row(self, r: int, n_max: int) -> list:
         row = self._rows.setdefault(r, [])
@@ -86,28 +89,43 @@ class FeulerCache:
             self._polys[key] = p
         return p
 
+    def series(self, r: int, trunc: int) -> TruncSeries:
+        key = (r, trunc)
+        g = self._series.get(key)
+        if g is None:
+            g = self._series[key] = fe_series(r, trunc)
+        return g
+
 
 _CACHE = FeulerCache()
 
 
 def clear_caches():
+    """Empty every memo: the shared tables and the lru_caches below."""
     _CACHE.clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
-def fe_numbers(n_max: int, r: int = 1, cache: FeulerCache = None) -> list:
+def fe_numbers(n_max: int, r: int = 1) -> list:
     """Numbers H_0^{(r)}(L) .. H_{n_max}^{(r)}(L), any integer order."""
-    return (cache or _CACHE).numbers(n_max, r)
+    return _CACHE.numbers(n_max, r)
 
 
-def fe_poly(n: int, r: int = 1, cache: FeulerCache = None) -> XPoly:
+def fe_poly(n: int, r: int = 1) -> XPoly:
     """The monic degree-n polynomial H_n^{(r)}(x|L)."""
-    return (cache or _CACHE).poly(n, r)
+    return _CACHE.poly(n, r)
 
 
 def fe_series(r: int, trunc: int) -> TruncSeries:
     """The series ((e^t - L)/(1 - L))^r that the order-r sequence inverts."""
     base = TruncSeries._raw((ONE,) + (_INV,) * trunc, trunc)
     return base ** r
+
+
+def cached_series(r: int, trunc: int) -> TruncSeries:
+    """fe_series(r, trunc), memoized in the shared tables."""
+    return _CACHE.series(r, trunc)
 
 
 def j_lambda(p: XPoly, s: int = 1) -> XPoly:
@@ -202,6 +220,11 @@ def lowering_coeff(s: int, l: int, m_cap: int = None) -> LambdaRat:
     return _bracket(s, l, m_cap)
 
 
+# held here, not looked up by name, so that clear_caches reaches the caches
+# even when a module attribute has been rebound to a wrapper
+_MEMOS = (_delta_coeffs, surjection_sum, _inv_pow, _bracket)
+
+
 @dataclass(frozen=True)
 class BasisExpansion:
     """Coefficients of a polynomial in the order-r basis H_k^{(r)}(x|L)."""
@@ -236,10 +259,10 @@ def to_fe_basis(p: XPoly, r: int) -> BasisExpansion:
     return BasisExpansion(r, tuple(out))
 
 
-def from_fe_basis(expansion: BasisExpansion, cache: FeulerCache = None) -> XPoly:
+def from_fe_basis(expansion: BasisExpansion) -> XPoly:
     """Recombine basis coefficients into the polynomial they expand."""
     acc = XPoly([])
     for k, c in enumerate(expansion.coefficients):
         if not c.is_zero:
-            acc = acc + c * fe_poly(k, expansion.order, cache)
+            acc = acc + c * fe_poly(k, expansion.order)
     return acc

@@ -7,6 +7,10 @@ stated summation bounds.  A report is a deterministically ordered list
 of cells plus a summary; serialized reports from a serial run and a
 parallel run are byte-identical because cell timings are normalized to
 zero at the report level.
+
+``IDENTITIES`` describes every identity once: the arguments of its
+``verify_<id>`` function and the grid a report runs it over.  Both
+``run_suite`` and ``feuler verify`` read it.
 """
 
 from __future__ import annotations
@@ -17,28 +21,38 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from . import frobenius
-from .frobenius import fe_numbers, fe_poly, fe_series, from_fe_basis, j_lambda, to_fe_basis
+from .frobenius import cached_series, fe_numbers, fe_poly, from_fe_basis, j_lambda, to_fe_basis
 from .scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat
 from .umbral import appell_expand
 from .xpoly import X, XPoly
 
 DEFAULT_SEED = 271828
 
-IDENTITY_IDS = (
-    "cor3",
-    "cor4",
-    "eq12_ladder",
-    "eq15_duality",
-    "eq22_ladder",
-    "remark",
-    "thm1_roundtrip",
-    "thm2",
-    "thm5",
-    "thm6",
-)
+# id -> (least value of each verify_<id> argument, None for any integer;
+#        the argument ranges of a report as a function of (n_max, r_max, s_max)).
+# Arguments are listed in plan order: cells come in registry order, then with
+# the last argument varying fastest.  verify_<id> is looked up by name when a
+# cell runs, so a rebound module attribute is what runs.
+IDENTITIES = {
+    "cor3": ({"n": 0, "r": None}, lambda n, r, s: (range(n + 1), range(1, r + 1))),
+    "cor4": ({"n": 0, "r": None}, lambda n, r, s: (range(n + 1), range(1, r + 1))),
+    "eq12_ladder": ({"n": 0, "r": None}, lambda n, r, s: (range(n + 1), range(-r, r + 1))),
+    "eq15_duality": ({"n": 0, "r": None, "k": 0},
+                     lambda n, r, s: (range(n + 1), range(r + 1), range(n + 1))),
+    "eq22_ladder": ({"n": 0, "r": None}, lambda n, r, s: (range(n + 1), range(-r, r + 1))),
+    "remark": ({"n": 0, "r": None}, lambda n, r, s: (range(n + 1), range(1, r + 1))),
+    # p and r of each cell come from the seeded draw, see roundtrip_inputs
+    "thm1_roundtrip": ({"index": 0}, lambda n, r, s: (range(100),)),
+    "thm2": ({"n": 0, "r": None, "s": 0},
+             lambda n, r, s: (range(n + 1), range(r + 1), range(s + 1))),
+    "thm5": ({"n": 0, "r": 0}, lambda n, r, s: (range(n + 1), range(r + 1))),
+    "thm6": ({"n": 0, "r": None}, lambda n, r, s: (range(n + 1), range(1, r + 1))),
+}
+IDENTITY_IDS = tuple(IDENTITIES)
 
 _ONE_MINUS = ONE - LAMBDA
 
@@ -53,6 +67,17 @@ class Cell:
     lhs: str
     rhs: str
     elapsed_us: int = 0
+
+    def to_json(self) -> str:
+        """One report line: fixed key order, parameters sorted by name."""
+        return json.dumps({
+            "identity": self.identity,
+            "params": {k: self.params[k] for k in sorted(self.params)},
+            "status": self.status,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "elapsed_us": self.elapsed_us,
+        })
 
 
 def _finish(identity, params, lhs, rhs, t0) -> Cell:
@@ -144,20 +169,10 @@ def verify_remark(n: int, r: int) -> Cell:
     return _finish("remark", {"n": n, "r": r}, e1, e2, t0)
 
 
-_SERIES_CACHE = {}
-
-
-def _series(r: int, trunc: int):
-    key = (r, trunc)
-    if key not in _SERIES_CACHE:
-        _SERIES_CACHE[key] = fe_series(r, trunc)
-    return _SERIES_CACHE[key]
-
-
 def verify_eq15_duality(n: int, k: int, r: int) -> Cell:
     """<g^r t^k | H_n^{(r)}> = n! delta_{n,k}."""
     t0 = time.perf_counter()
-    g = _series(r, max(n, k))
+    g = cached_series(r, max(n, k))
     lhs = str(g.mul_t_power(k).functional(fe_poly(n, r)))
     rhs = str(LambdaRat(factorial(n) if n == k else 0))
     return _finish("eq15_duality", {"k": k, "n": n, "r": r}, lhs, rhs, t0)
@@ -202,18 +217,19 @@ def _draw_poly(rng, max_degree: int, r_cap: int):
     return XPoly(coeffs), r
 
 
-def verify_thm1_roundtrip(index: int, seed: int = DEFAULT_SEED,
-                          max_degree: int = 10, r_cap: int = 4) -> Cell:
-    """Basis coefficients agree across the evaluation and functional routes,
-    and recombining them restores the polynomial."""
-    t0 = time.perf_counter()
+def roundtrip_inputs(seed: int, count: int, max_degree: int = 10, r_cap: int = 4) -> list:
+    """The first `count` seeded round-trip inputs (p, r), drawn in order."""
     rng = random.Random(seed)
-    for _ in range(index):
-        _draw_poly(rng, max_degree, r_cap)
-    p, r = _draw_poly(rng, max_degree, r_cap)
+    return [_draw_poly(rng, max_degree, r_cap) for _ in range(count)]
+
+
+def verify_thm1_roundtrip(index: int, p: XPoly, r: int) -> Cell:
+    """Basis coefficients of round-trip input `index` agree across the
+    evaluation and functional routes, and recombining them restores p."""
+    t0 = time.perf_counter()
     params = {"degree": int(p.degree), "index": index, "r": r}
     e = to_fe_basis(p, r)
-    dual = appell_expand(_series(r, max(int(p.degree), 0)), p)
+    dual = appell_expand(cached_series(r, max(int(p.degree), 0)), p)
     if list(e.coefficients) != dual:
         lhs = "; ".join(str(c) for c in e.coefficients)
         rhs = "; ".join(str(c) for c in dual)
@@ -225,6 +241,13 @@ def verify_thm1_roundtrip(index: int, seed: int = DEFAULT_SEED,
 
 # ---------------------------------------------------------------------------
 
+def _tally(cells) -> dict:
+    out = {"total": len(cells), "equal": 0, "mismatch": 0, "skipped": 0}
+    for c in cells:
+        out[c.status] += 1
+    return out
+
+
 @dataclass
 class VerificationReport:
     """Deterministically ordered cells plus the grid they were run on."""
@@ -233,26 +256,21 @@ class VerificationReport:
     grid: dict
 
     def totals(self) -> dict:
-        out = {"total": len(self.cells), "equal": 0, "mismatch": 0, "skipped": 0}
+        return _tally(self.cells)
+
+    def tallies(self) -> dict:
+        """totals() of each identity that has cells, in cell order."""
+        groups = {}
         for c in self.cells:
-            out[c.status] += 1
-        return out
+            groups.setdefault(c.identity, []).append(c)
+        return {ident: _tally(group) for ident, group in groups.items()}
 
     @property
     def ok(self) -> bool:
         return self.totals()["mismatch"] == 0
 
     def to_jsonl(self) -> str:
-        lines = []
-        for c in self.cells:
-            lines.append(json.dumps({
-                "identity": c.identity,
-                "params": {k: c.params[k] for k in sorted(c.params)},
-                "status": c.status,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "elapsed_us": c.elapsed_us,
-            }))
+        lines = [c.to_json() for c in self.cells]
         summary = dict(self.totals())
         summary["grid"] = {k: self.grid[k] for k in sorted(self.grid)}
         lines.append(json.dumps(summary))
@@ -281,65 +299,23 @@ class VerificationReport:
         return report
 
 
-def _plan(n_max: int, r_max: int, s_max: int, seed: int) -> list:
-    tasks = []
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            tasks.append(("cor3", n, r))
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            tasks.append(("cor4", n, r))
-    for n in range(n_max + 1):
-        for r in range(-r_max, r_max + 1):
-            tasks.append(("eq12_ladder", n, r))
-    for n in range(n_max + 1):
-        for r in range(r_max + 1):
-            for k in range(n_max + 1):
-                tasks.append(("eq15_duality", n, k, r))
-    for n in range(n_max + 1):
-        for r in range(-r_max, r_max + 1):
-            tasks.append(("eq22_ladder", n, r))
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            tasks.append(("remark", n, r))
-    for index in range(100):
-        tasks.append(("thm1_roundtrip", index, seed, min(10, n_max), min(4, r_max)))
-    for n in range(n_max + 1):
-        for r in range(r_max + 1):
-            for s in range(s_max + 1):
-                tasks.append(("thm2", n, r, s))
-    for n in range(n_max + 1):
-        for r in range(r_max + 1):
-            tasks.append(("thm5", n, r))
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            tasks.append(("thm6", n, r))
-    return tasks
+def _plan(n_max: int, r_max: int, s_max: int, seed: int):
+    """Yield each cell's (identity, verify arguments) in report order.
+
+    Round-trip inputs are drawn as their cells come up, so one is held at a time.
+    """
+    rng = random.Random(seed)
+    for ident, (least, grid) in IDENTITIES.items():
+        for values in product(*grid(n_max, r_max, s_max)):
+            args = dict(zip(least, values))
+            if ident == "thm1_roundtrip":
+                args["p"], args["r"] = _draw_poly(rng, min(10, n_max), min(4, r_max))
+            yield ident, args
 
 
 def _eval_task(task) -> Cell:
-    kind = task[0]
-    if kind == "cor3":
-        return verify_cor3(task[1], task[2])
-    if kind == "cor4":
-        return verify_cor4(task[1], task[2])
-    if kind == "eq12_ladder":
-        return verify_eq12_ladder(task[1], task[2])
-    if kind == "eq15_duality":
-        return verify_eq15_duality(task[1], task[2], task[3])
-    if kind == "eq22_ladder":
-        return verify_eq22_ladder(task[1], task[2])
-    if kind == "remark":
-        return verify_remark(task[1], task[2])
-    if kind == "thm1_roundtrip":
-        return verify_thm1_roundtrip(task[1], seed=task[2], max_degree=task[3], r_cap=task[4])
-    if kind == "thm2":
-        return verify_thm2(task[1], task[2], task[3])
-    if kind == "thm5":
-        return verify_thm5(task[1], task[2])
-    if kind == "thm6":
-        return verify_thm6(task[1], task[2])
-    raise ValueError(f"unknown task {task!r}")
+    ident, args = task
+    return globals()["verify_" + ident](**args)
 
 
 def run_suite(n_max: int = 10, r_max: int = 4, s_max: int = 4,

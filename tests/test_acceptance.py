@@ -58,8 +58,9 @@ def test_criterion_03_stirling_valued_specials():
 
 
 def test_criterion_04_basis_round_trip():
-    for index in range(100):
-        cell = suite.verify_thm1_roundtrip(index)
+    inputs = suite.roundtrip_inputs(suite.DEFAULT_SEED, 100)
+    for index, (p, r) in enumerate(inputs):
+        cell = suite.verify_thm1_roundtrip(index, p, r)
         assert cell.status == "equal", cell
         assert cell.params["degree"] <= 10
         assert 0 <= cell.params["r"] <= 4

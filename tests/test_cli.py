@@ -272,6 +272,67 @@ def test_cli_verify_roundtrip_seeded():
     assert (pa["degree"], pa["r"]) != (pb["degree"], pb["r"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv)) for argv, message in (
+        (("verify", "--identity", "thm1_roundtrip", "--index", "-1"), "needs --index >= 0"),
+        (("verify", "--identity", "thm2", "--n", "2", "--r", "1", "--s", "-1"), "needs --s >= 0"),
+        (("verify", "--identity", "eq15_duality", "--n", "2", "--k", "-1", "--r", "1"),
+         "needs --k >= 0"),
+        (("verify", "--identity", "thm5", "--n", "2", "--r", "-1"), "needs --r >= 0"),
+        (("verify", "--identity", "thm2", "--n", "-1", "--r", "1", "--s", "1"), "needs --n >= 0"),
+        (("suite", "--n-max", "-1"), "--n-max: must be >= 0"),
+        (("suite", "--r-max", "-1"), "--r-max: must be >= 0"),
+        (("suite", "--jobs", "0"), "--jobs: must be >= 1"),
+        (("stirling", "--n", "-1", "--k", "2"), "--n: must be >= 0"),
+        (("stirling", "--n", "3", "--k", "-1"), "--k: must be >= 0"),
+        (("poly", "--n", "-2"), "--n: must be >= 0"),
+        (("convert", "--poly", "x", "--order", "-1"), "--order: must be >= 0"),
+        (("convert", "--poly", "1/(1+L)", "--lambda", "-1"), "pole at L = -1"),
+        (("numbers", "--n-max", "-1"), "--n-max: must be >= 0"),
+    )])
+def test_cli_out_of_domain_exits_2(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_cli_verify_r_domains():
+    for ident in ("thm2", "eq12_ladder", "eq15_duality", "eq22_ladder"):
+        code, out, _ = run_cli("verify", "--identity", ident,
+                               "--n", "3", "--r", "-2", "--s", "1", "--k", "3")
+        assert code == 0 and " equal\n" in out, ident
+    for ident in ("cor3", "cor4", "thm6", "remark"):
+        code, out, _ = run_cli("verify", "--identity", ident, "--n", "3", "--r", "-1")
+        assert code == 0 and " skipped\n" in out, ident
+
+
+def test_cli_verify_reproduces_suite_cells():
+    seen = set()
+    for cell in reversed(suite.run_suite(2, 1, 1).cells):
+        if cell.identity == "thm1_roundtrip" or cell.identity in seen:
+            continue
+        seen.add(cell.identity)
+        argv = ["verify", "--identity", cell.identity, "--format", "json"]
+        for name, value in cell.params.items():
+            argv += [f"--{name}", str(value)]
+        code, out, _ = run_cli(*argv)
+        got = json.loads(out)
+        assert code == 0
+        assert (got["status"], got["lhs"], got["rhs"]) == (cell.status, cell.lhs, cell.rhs)
+    assert seen == set(suite.IDENTITY_IDS) - {"thm1_roundtrip"}
+
+
+def test_cli_verify_index_is_roundtrip_input():
+    for seed in (suite.DEFAULT_SEED, 99):
+        inputs = suite.roundtrip_inputs(seed, 100)
+        for index in (0, 7, 99):
+            code, out, _ = run_cli("verify", "--identity", "thm1_roundtrip", "--index",
+                                   str(index), "--seed", str(seed), "--format", "json")
+            cell = suite.verify_thm1_roundtrip(index, *inputs[index])
+            assert code == 0
+            assert _sans_timing(out) == _sans_timing(cell.to_json())
+
+
 def _sans_timing(text):
     obj = json.loads(text)
     obj.pop("elapsed_us")

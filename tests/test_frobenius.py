@@ -301,3 +301,19 @@ def test_cache_reproducibility():
     assert fresh.poly(5, 2) is fresh.poly(5, 2)
     fresh.clear()
     assert fresh.poly(5, 2) == fe_poly(5, 2)
+
+
+def test_clear_caches_empties_every_memo():
+    def values():
+        return (fe_numbers(6, 3), fe_poly(6, 2), fe_numbers(6, -2), stirling_lambda(6, 3),
+                lowering_coeff(3, 5), frobenius.cached_series(2, 6))
+
+    before = values()
+    tables = frobenius._CACHE
+    memos = (frobenius._delta_coeffs, surjection_sum, frobenius._inv_pow, frobenius._bracket)
+    assert tables._rows and tables._polys and tables._series
+    assert all(m.cache_info().currsize for m in memos)
+    frobenius.clear_caches()
+    assert not (tables._rows or tables._polys or tables._series)
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+    assert values() == before

@@ -1,15 +1,20 @@
 """Verification cells, report determinism, serialization, fault injection."""
 
+import hashlib
+import inspect
 import random
 
 import pytest
 
 from feuler.scalar import LAMBDA, ONE
-from feuler import frobenius
+from feuler import frobenius, suite
 from feuler.suite import (
     DEFAULT_SEED,
+    IDENTITIES,
+    IDENTITY_IDS,
     Cell,
     VerificationReport,
+    roundtrip_inputs,
     run_suite,
     verify_cor3,
     verify_cor4,
@@ -55,12 +60,12 @@ def test_skip_guards():
 
 
 def test_roundtrip_cell_is_deterministic():
-    a = verify_thm1_roundtrip(7)
-    b = verify_thm1_roundtrip(7)
+    a = verify_thm1_roundtrip(7, *roundtrip_inputs(DEFAULT_SEED, 8)[7])
+    b = verify_thm1_roundtrip(7, *roundtrip_inputs(DEFAULT_SEED, 8)[7])
     assert a.params == b.params
     assert (a.lhs, a.rhs, a.status) == (b.lhs, b.rhs, b.status)
     assert a.status == "equal"
-    other = verify_thm1_roundtrip(7, seed=DEFAULT_SEED + 1)
+    other = verify_thm1_roundtrip(7, *roundtrip_inputs(DEFAULT_SEED + 1, 8)[7])
     assert (other.params, other.lhs) != (a.params, a.lhs)
 
 
@@ -136,3 +141,25 @@ def test_dropped_factor_is_caught(monkeypatch):
         assert (c.status == "equal") == (c.lhs == c.rhs)
     bad = [c for c in rep.cells if c.status == "mismatch"]
     assert all(c.identity in {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"} for c in bad)
+
+
+def test_registry_names_the_verify_functions():
+    verifiers = {name[len("verify_"):] for name in vars(suite) if name.startswith("verify_")}
+    assert set(IDENTITY_IDS) == verifiers and len(IDENTITY_IDS) == 10
+    for ident, (least, _) in IDENTITIES.items():
+        assert set(least) <= set(inspect.signature(getattr(suite, "verify_" + ident)).parameters)
+
+
+def test_small_grid_digests_are_pinned():
+    # report bytes are part of the output contract: a change of plan order shows here
+    for grid, digest in (
+            ((2, 1, 1), "63c922d19b2f572a20c5f8de341bc9d150e7a7607870a5d8de945b78f55d7578"),
+            ((3, 2, 2), "91909fe6872f985f35ee25273be5ed430a27fa56fd5b9c2c319583f39dfd4cfd")):
+        assert hashlib.sha256(run_suite(*grid).to_jsonl().encode()).hexdigest() == digest
+
+
+def test_plan_draws_the_roundtrip_inputs():
+    for seed in (DEFAULT_SEED, 5):
+        drawn = [(args["p"], args["r"]) for ident, args in suite._plan(10, 4, 0, seed)
+                 if ident == "thm1_roundtrip"]
+        assert drawn == roundtrip_inputs(seed, 100)
