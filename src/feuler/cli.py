@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import frobenius, suite as suite_mod
 from .scalar import LAMBDA, LambdaPoly, LambdaRat, PoleError, lrat
@@ -357,7 +358,8 @@ def _cmd_verify(args, seed: int) -> int:
         sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
         return 2
     if args.identity == "thm1_roundtrip":
-        values["p"], values["r"] = suite_mod.roundtrip_inputs(seed, args.index + 1)[-1]
+        draws = suite_mod.roundtrip_inputs(seed, args.index + 1)
+        values["p"], values["r"] = next(islice(draws, args.index, None))
     cell = getattr(suite_mod, "verify_" + args.identity)(**values)
     if args.format == "json":
         sys.stdout.write(cell.to_json() + "\n")

@@ -1,19 +1,21 @@
-"""Exact scalars: rationals, polynomials in L, and the field Q(L).
+"""Exact scalars: the field Q(L) of rational functions in L.
 
 Every value is kept in a canonical form so that equality of mathematical
-values coincides with structural (and textual) equality:
+values coincides with structural (and textual) equality.
 
-* ``LambdaPoly`` stores ascending rational coefficients with no trailing
-  zero, so the zero polynomial is the empty tuple.
-* ``LambdaRat`` stores a reduced fraction num/den where den has integer
-  coefficients with content 1 and a positive lowest-order coefficient,
-  den is the constant 1 whenever the value is a polynomial, and zero is
-  stored as 0/1.
-
-The heavy lifting (gcd, exact division, convolution) runs on plain lists
-of Python ints; rational content is factored out once per operand and
-reattached at the end, which keeps Fraction traffic out of the inner
-loops.
+* ``LambdaRat`` stores a value as ``c * p / q``: ``c`` is a nonzero
+  ``Fraction`` that carries the sign, and ``p`` and ``q`` are tuples of
+  ints, ascending, each primitive (content 1) with a positive lowest
+  nonzero coefficient.  gcd(p, q) = 1, ``q == (1,)`` exactly when the
+  value is a polynomial, and zero is ``0 * () / (1,)``.  Arithmetic reads
+  and writes this form directly: gcd, exact division and convolution run
+  on the int tuples, and only the content is a ``Fraction``.
+* ``LambdaPoly`` is the input and view type: ascending rational
+  coefficients with no trailing zero, so the zero polynomial is the empty
+  tuple.  ``LambdaRat(num, den)`` accepts it, and ``LambdaRat.num`` and
+  ``.den`` build it (the numerator ``c * p`` and the denominator ``q``)
+  where a value is printed or inspected.  It has no arithmetic of its
+  own; compute through ``LambdaRat`` and ``lrat``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class PoleError(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient kernels (ascending lists of int, trimmed)
+# integer-coefficient kernels (ascending sequences of int, trimmed)
 
 def _itrim(c: list) -> list:
     while c and c[-1] == 0:
@@ -37,7 +39,7 @@ def _itrim(c: list) -> list:
     return c
 
 
-def _imul(a: list, b: list) -> list:
+def _imul(a, b) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -48,8 +50,8 @@ def _imul(a: list, b: list) -> list:
     return out
 
 
-def _iprim(a: list) -> tuple:
-    """Split a nonzero int list into (content, primitive part).
+def _iprim(a) -> tuple:
+    """Split a nonzero int sequence into (content, primitive part).
 
     The primitive part begins with a positive coefficient (lowest nonzero
     term, the one printed first); the sign goes into the content.
@@ -67,7 +69,7 @@ def _iprim(a: list) -> tuple:
     return g, [v // g for v in a]
 
 
-def _irem(a: list, b: list) -> list:
+def _irem(a, b) -> list:
     """Integer-scaled remainder of a by b, up to a constant factor.
 
     Each reduction step scales the remainder by the smallest factor that
@@ -94,25 +96,20 @@ def _irem(a: list, b: list) -> list:
     return _itrim(r)
 
 
-def _igcd(a: list, b: list) -> list:
-    """Primitive gcd of two int lists, positive leading coefficient."""
-    if not a:
-        return _iprim(b)[1] if b else []
-    if not b:
-        return _iprim(a)[1]
-    a = _iprim(a)[1]
-    b = _iprim(b)[1]
+def _igcd(a, b):
+    """Gcd of two nonzero primitive int sequences, primitive with a
+    positive lowest nonzero coefficient."""
     if len(a) < len(b):
         a, b = b, a
     while b:
         if len(b) == 1:
-            return [1]
+            return (1,)
         r = _irem(a, b)
-        a, b = b, (_iprim(r)[1] if r else [])
+        a, b = b, (_iprim(r)[1] if r else ())
     return a
 
 
-def _idivexact(a: list, b: list) -> list:
+def _idivexact(a, b) -> list:
     """Quotient a // b when b is known to divide a over the integers."""
     if not a:
         return []
@@ -129,7 +126,7 @@ def _idivexact(a: list, b: list) -> list:
     return q
 
 
-def _ipow(a: list, n: int) -> list:
+def _ipow(a, n: int) -> list:
     out = [1]
     base = a
     while n:
@@ -141,32 +138,35 @@ def _ipow(a: list, n: int) -> list:
     return out
 
 
+def _horner(coeffs, point) -> Fraction:
+    """Value of an ascending coefficient sequence at a rational point."""
+    if not isinstance(point, Fraction):
+        point = Fraction(point)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
+
+
 # ---------------------------------------------------------------------------
 
 class LambdaPoly:
     """Polynomial in L with exact rational coefficients, stored ascending."""
 
-    __slots__ = ("coeffs", "_parts")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._parts = None
 
     @classmethod
     def _raw(cls, coeffs: tuple) -> "LambdaPoly":
         # trusted: coeffs already a trimmed tuple of Fraction
         self = object.__new__(cls)
         self.coeffs = coeffs
-        self._parts = None
         return self
-
-    @classmethod
-    def const(cls, value) -> "LambdaPoly":
-        v = value if isinstance(value, Fraction) else Fraction(value)
-        return cls._raw((v,) if v else ())
 
     @property
     def degree(self):
@@ -180,100 +180,15 @@ class LambdaPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def _int_parts(self) -> tuple:
-        """Lazy (scale, primitive int list): scale * ints == self."""
-        if self._parts is None:
-            if not self.coeffs:
-                self._parts = (Fraction(0), [])
-            else:
-                den = 1
-                for c in self.coeffs:
-                    d = c.denominator
-                    den = den // gcd(den, d) * d
-                ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-                g, prim = _iprim(ints)
-                self._parts = (Fraction(g, den), prim)
-        return self._parts
-
-    def __add__(self, other):
-        if not isinstance(other, LambdaPoly):
-            if isinstance(other, (int, Fraction)):
-                other = LambdaPoly.const(other)
-            else:
-                return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        while out and not out[-1]:
-            out.pop()
-        return LambdaPoly._raw(tuple(out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LambdaPoly._raw(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LambdaPoly.const(other)
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _LP_ZERO
-            return LambdaPoly._raw(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _LP_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        while out and not out[-1]:
-            out.pop()
-        return LambdaPoly._raw(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def evaluate(self, point) -> Fraction:
         """Value at a rational point, by Horner's rule."""
-        if not isinstance(point, Fraction):
-            point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        return _horner(self.coeffs, point)
 
     def __eq__(self, other):
         if isinstance(other, LambdaPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == LambdaPoly.const(other).coeffs
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -306,66 +221,88 @@ class LambdaPoly:
         return f"LambdaPoly({self})"
 
 
-_LP_ZERO = LambdaPoly._raw(())
-_LP_ONE = LambdaPoly._raw((Fraction(1),))
+def _split(value) -> tuple:
+    """(content, primitive int tuple) of a LambdaPoly, a rational or a
+    coefficient sequence; zero splits into (0, ())."""
+    if isinstance(value, (int, Fraction)):
+        value = (value,)
+    if not isinstance(value, LambdaPoly):
+        value = LambdaPoly(value)
+    if not value.coeffs:
+        return Fraction(0), ()
+    den = 1
+    for c in value.coeffs:
+        d = c.denominator
+        den = den // gcd(den, d) * d
+    g, prim = _iprim([c.numerator * (den // c.denominator) for c in value.coeffs])
+    return Fraction(g, den), tuple(prim)
 
 
 class LambdaRat:
     """Element of the rational-function field Q(L), always reduced.
 
-    Invariants: gcd(num, den) = 1, den has integer coefficients with
-    content 1 and a positive first (lowest-order) coefficient, polynomial
-    values have den = 1, and zero is stored as 0/1.  Two equal field
-    elements are therefore structurally identical and print identically.
+    Stored as content ``c`` times primitive int tuples ``p / q`` in the
+    canonical form of the module docstring, so two equal field elements
+    are structurally identical and print identically.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("c", "p", "q")
 
     def __init__(self, num=0, den=1):
-        if not isinstance(num, LambdaPoly):
-            num = LambdaPoly.const(num) if isinstance(num, (int, Fraction)) else LambdaPoly(num)
-        if not isinstance(den, LambdaPoly):
-            den = LambdaPoly.const(den) if isinstance(den, (int, Fraction)) else LambdaPoly(den)
-        n, d = _normalized(num, den)
-        self.num = n
-        self.den = d
+        cn, p = _split(num)
+        cd, q = _split(den)
+        if not q:
+            raise ZeroDivisionError("zero denominator in Q(L)")
+        if not p:
+            self.c, self.p, self.q = Fraction(0), (), (1,)
+            return
+        g = _igcd(p, q)
+        if len(g) > 1:
+            p = tuple(_idivexact(p, g))
+            q = tuple(_idivexact(q, g))
+        self.c, self.p, self.q = cn / cd, p, q
 
     @classmethod
-    def _make(cls, num: LambdaPoly, den: LambdaPoly) -> "LambdaRat":
-        # trusted: (num, den) already satisfy the class invariants
+    def _make(cls, c: Fraction, p: tuple, q: tuple) -> "LambdaRat":
+        # trusted: (c, p, q) already satisfy the canonical form
         self = object.__new__(cls)
-        self.num = num
-        self.den = den
+        self.c = c
+        self.p = p
+        self.q = q
         return self
 
     @property
+    def num(self) -> LambdaPoly:
+        """The numerator c * p, as a LambdaPoly view."""
+        c = self.c
+        return LambdaPoly._raw(tuple(c * v for v in self.p))
+
+    @property
+    def den(self) -> LambdaPoly:
+        """The denominator q, as a LambdaPoly view."""
+        return LambdaPoly._raw(tuple(Fraction(v) for v in self.q))
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.p
 
     @property
     def is_poly(self) -> bool:
         """True when the denominator is 1."""
-        return self.den.coeffs == _ONE_COEFFS
+        return len(self.q) == 1
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
-
-    def _pieces(self) -> tuple:
-        # (scale, primitive num ints, den ints)
-        s, p = self.num._int_parts()
-        q = self.den._int_parts()[1]
-        return s, p, q
+        return bool(self.p)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if self.num.is_zero:
+        if not self.p:
             return other
-        if other.num.is_zero:
+        if not other.p:
             return self
-        sa, pa, qa = self._pieces()
-        sb, pb, qb = other._pieces()
+        pa, qa, pb, qb = self.p, self.q, other.p, other.q
         g = _igcd(qa, qb)
         if len(g) > 1:
             qa2 = _idivexact(qa, g)
@@ -374,11 +311,12 @@ class LambdaRat:
             qa2, qb2 = qa, qb
         left = _imul(pa, qb2)
         right = _imul(pb, qa2)
-        # sa*left + sb*right with one common integer denominator
-        da, db = sa.denominator, sb.denominator
+        # ca*left + cb*right with one common integer denominator
+        ca, cb = self.c, other.c
+        da, db = ca.denominator, cb.denominator
         dd = da // gcd(da, db) * db
-        ua = sa.numerator * (dd // da)
-        ub = sb.numerator * (dd // db)
+        ua = ca.numerator * (dd // da)
+        ub = cb.numerator * (dd // db)
         if len(left) < len(right):
             left, right, ua, ub = right, left, ub, ua
         acc = [ua * c for c in left]
@@ -388,7 +326,6 @@ class LambdaRat:
         if not acc:
             return ZERO
         cn, pn = _iprim(acc)
-        scale = Fraction(cn, dd)
         # the only shared factors left can sit inside g
         if len(g) > 1:
             g2 = _igcd(pn, g)
@@ -396,12 +333,12 @@ class LambdaRat:
                 pn = _idivexact(pn, g2)
                 g = _idivexact(g, g2)
         den = _imul(_imul(qa2, g), qb2)
-        return _assemble(scale, pn, den)
+        return LambdaRat._make(Fraction(cn, dd), tuple(pn), tuple(den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaRat._make(-self.num, self.den)
+        return LambdaRat._make(-self.c, self.p, self.q)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -416,10 +353,9 @@ class LambdaRat:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if self.num.is_zero or other.num.is_zero:
+        if not self.p or not other.p:
             return ZERO
-        sa, pa, qa = self._pieces()
-        sb, pb, qb = other._pieces()
+        pa, qa, pb, qb = self.p, self.q, other.p, other.q
         g1 = _igcd(pa, qb)
         if len(g1) > 1:
             pa = _idivexact(pa, g1)
@@ -428,16 +364,14 @@ class LambdaRat:
         if len(g2) > 1:
             pb = _idivexact(pb, g2)
             qa = _idivexact(qa, g2)
-        return _assemble(sa * sb, _imul(pa, pb), _imul(qa, qb))
+        return LambdaRat._make(self.c * other.c, tuple(_imul(pa, pb)), tuple(_imul(qa, qb)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LambdaRat":
-        if self.num.is_zero:
+        if not self.p:
             raise ZeroDivisionError("inverse of zero in Q(L)")
-        s, p, q = self._pieces()
-        scale = Fraction(1) / s
-        return _assemble(scale, q, p)
+        return LambdaRat._make(1 / self.c, self.q, self.p)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -453,42 +387,41 @@ class LambdaRat:
             return ONE
         if n < 0:
             return self.inverse() ** (-n)
-        if self.num.is_zero:
+        if not self.p:
             return ZERO
-        s, p, q = self._pieces()
-        return _assemble(s ** n, _ipow(p, n), _ipow(q, n))
+        return LambdaRat._make(self.c ** n, tuple(_ipow(self.p, n)), tuple(_ipow(self.q, n)))
 
     def evaluate(self, point) -> Fraction:
         """Value at a rational point of L; raises PoleError at a pole."""
-        d = self.den.evaluate(point)
+        d = _horner(self.q, point)
         if not d:
             raise PoleError(f"pole at L = {point}")
-        return self.num.evaluate(point) / d
+        return self.c * _horner(self.p, point) / d
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return self.num.coeffs == other.num.coeffs and self.den.coeffs == other.den.coeffs
+        return self.c == other.c and self.p == other.p and self.q == other.q
 
     def __hash__(self):
-        # polynomial values must hash like the LambdaPoly they equal
-        if self.is_poly:
+        # a polynomial hashes like the LambdaPoly it equals, a constant
+        # like the rational it equals
+        if len(self.q) == 1:
             return hash(self.num)
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num.coeffs, self.q))
 
     def __str__(self):
-        if self.is_poly:
+        if len(self.q) == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
     def embed_str(self) -> str:
         """Compact rendering for use inside a larger expression."""
-        if self.is_poly:
-            return str(self.num)
         num = str(self.num)
-        nonzero = [c for c in self.num.coeffs if c]
-        if len(nonzero) == 1:
+        if len(self.q) == 1:
+            return num
+        if sum(1 for v in self.p if v) == 1:
             return f"{num}/({self.den})"
         return f"({num})/({self.den})"
 
@@ -496,46 +429,17 @@ class LambdaRat:
         return f"LambdaRat({self})"
 
 
-_ONE_COEFFS = (Fraction(1),)
-
-
 def _coerce(value):
     if isinstance(value, LambdaRat):
         return value
-    if isinstance(value, (int, Fraction)):
-        return LambdaRat._make(LambdaPoly.const(value), _LP_ONE)
+    if isinstance(value, Fraction):
+        return LambdaRat._make(value, (1,), (1,)) if value else ZERO
+    if isinstance(value, int):
+        return LambdaRat._make(Fraction(value), (1,), (1,)) if value else ZERO
     if isinstance(value, LambdaPoly):
-        return LambdaRat._make(value, _LP_ONE)
+        c, p = _split(value)
+        return LambdaRat._make(c, p, (1,))
     return NotImplemented
-
-
-def _normalized(num: LambdaPoly, den: LambdaPoly) -> tuple:
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator in Q(L)")
-    if num.is_zero:
-        return _LP_ZERO, _LP_ONE
-    sn, p = num._int_parts()
-    sd, q = den._int_parts()
-    g = _igcd(p, q)
-    if len(g) > 1:
-        p = _idivexact(p, g)
-        q = _idivexact(q, g)
-    s = sn / sd
-    if len(q) == 1:
-        s = s / q[0]
-        return LambdaPoly._raw(tuple(s * c for c in p)), _LP_ONE
-    return (LambdaPoly._raw(tuple(s * c for c in p)),
-            LambdaPoly._raw(tuple(Fraction(c) for c in q)))
-
-
-def _assemble(scale: Fraction, p: list, q: list) -> LambdaRat:
-    # p, q primitive with positive leading coefficient and coprime
-    if len(q) == 1:
-        num = LambdaPoly._raw(tuple(scale * c for c in p))
-        return LambdaRat._make(num, _LP_ONE)
-    num = LambdaPoly._raw(tuple(scale * c for c in p))
-    den = LambdaPoly._raw(tuple(Fraction(c) for c in q))
-    return LambdaRat._make(num, den)
 
 
 def lrat(value) -> LambdaRat:
@@ -546,6 +450,6 @@ def lrat(value) -> LambdaRat:
     return out
 
 
-ZERO = LambdaRat._make(_LP_ZERO, _LP_ONE)
-ONE = LambdaRat._make(_LP_ONE, _LP_ONE)
-LAMBDA = LambdaRat._make(LambdaPoly._raw((Fraction(0), Fraction(1))), _LP_ONE)
+ZERO = LambdaRat._make(Fraction(0), (), (1,))
+ONE = LambdaRat._make(Fraction(1), (1,), (1,))
+LAMBDA = LambdaRat._make(Fraction(1), (0, 1), (1,))

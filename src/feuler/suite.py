@@ -145,7 +145,9 @@ def verify_thm5(n: int, r: int) -> Cell:
     e1 = str(frobenius.stirling_lambda(n, r) * factorial(r) * _ONE_MINUS ** (-r))
     e2 = str(_split_sum_numbers(n, r, 2 * r))
     e3 = str(frobenius.lowering_coeff(r, n, min(r, n)))
-    rhs = e2 if e2 != e1 else (e3 if e3 != e1 else e1)
+    differ = [f"{name}: {e}" for name, e in (("split_sum", e2), ("lowering_coeff", e3))
+              if e != e1]
+    rhs = "; ".join(differ) if differ else e1
     return _finish("thm5", {"n": n, "r": r}, e1, rhs, t0)
 
 
@@ -217,10 +219,14 @@ def _draw_poly(rng, max_degree: int, r_cap: int):
     return XPoly(coeffs), r
 
 
-def roundtrip_inputs(seed: int, count: int, max_degree: int = 10, r_cap: int = 4) -> list:
-    """The first `count` seeded round-trip inputs (p, r), drawn in order."""
+def roundtrip_inputs(seed: int, count: int, max_degree: int = 10, r_cap: int = 4):
+    """Yield the first `count` seeded round-trip inputs (p, r), drawn in order.
+
+    Each input is drawn when it is asked for, so a caller holds one at a time.
+    """
     rng = random.Random(seed)
-    return [_draw_poly(rng, max_degree, r_cap) for _ in range(count)]
+    for _ in range(count):
+        yield _draw_poly(rng, max_degree, r_cap)
 
 
 def verify_thm1_roundtrip(index: int, p: XPoly, r: int) -> Cell:
@@ -304,12 +310,14 @@ def _plan(n_max: int, r_max: int, s_max: int, seed: int):
 
     Round-trip inputs are drawn as their cells come up, so one is held at a time.
     """
-    rng = random.Random(seed)
     for ident, (least, grid) in IDENTITIES.items():
-        for values in product(*grid(n_max, r_max, s_max)):
+        ranges = grid(n_max, r_max, s_max)
+        draws = (roundtrip_inputs(seed, len(ranges[0]), min(10, n_max), min(4, r_max))
+                 if ident == "thm1_roundtrip" else None)
+        for values in product(*ranges):
             args = dict(zip(least, values))
-            if ident == "thm1_roundtrip":
-                args["p"], args["r"] = _draw_poly(rng, min(10, n_max), min(4, r_max))
+            if draws is not None:
+                args["p"], args["r"] = next(draws)
             yield ident, args
 
 

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 
@@ -324,13 +325,34 @@ def test_cli_verify_reproduces_suite_cells():
 
 def test_cli_verify_index_is_roundtrip_input():
     for seed in (suite.DEFAULT_SEED, 99):
-        inputs = suite.roundtrip_inputs(seed, 100)
+        inputs = list(suite.roundtrip_inputs(seed, 100))
         for index in (0, 7, 99):
             code, out, _ = run_cli("verify", "--identity", "thm1_roundtrip", "--index",
                                    str(index), "--seed", str(seed), "--format", "json")
             cell = suite.verify_thm1_roundtrip(index, *inputs[index])
             assert code == 0
             assert _sans_timing(out) == _sans_timing(cell.to_json())
+
+
+def test_cli_verify_index_holds_one_roundtrip_input(monkeypatch):
+    # only the draw is measured: the cell function is a stub that keeps its input
+    got = {}
+
+    def keep(index, p, r):
+        got.update(index=index, p=p, r=r)
+        return suite.Cell("thm1_roundtrip", {"index": index}, "equal", "", "")
+
+    monkeypatch.setattr(suite, "verify_thm1_roundtrip", keep)
+    run_cli("verify", "--identity", "thm1_roundtrip", "--index", "0")
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli("verify", "--identity", "thm1_roundtrip", "--index", "500")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.25 * 2**20, peak
+    assert (got["p"], got["r"]) == list(suite.roundtrip_inputs(suite.DEFAULT_SEED, 501))[500]
 
 
 def _sans_timing(text):

@@ -1,0 +1,62 @@
+"""SymPy as an independent oracle for Q(L) arithmetic and the numbers.
+
+Every value is mapped into SymPy's rational function field through its
+printed-form coefficients, so the oracle shares no arithmetic with feuler.
+"""
+
+import random
+from math import comb
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy import QQ  # noqa: E402
+from sympy.polys.fields import field  # noqa: E402
+
+from feuler.frobenius import fe_numbers  # noqa: E402
+from genutil import rand_lrat  # noqa: E402
+
+K, L = field("L", QQ)
+
+
+def to_sympy(v):
+    def poly(cs):
+        return sum((QQ(c.numerator, c.denominator) * L ** i for i, c in enumerate(cs)), K.zero)
+    return poly(v.num.coeffs) / poly(v.den.coeffs)
+
+
+def test_field_operations_match_sympy():
+    rng = random.Random(3017)
+    for _ in range(200):
+        a, b = rand_lrat(rng, max_deg=3), rand_lrat(rng, max_deg=3)
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert to_sympy(a + b) == sa + sb
+        assert to_sympy(a - b) == sa - sb
+        assert to_sympy(a * b) == sa * sb
+        if b:
+            assert to_sympy(a / b) == sa / sb
+        k = rng.randint(-3, 4) if a else rng.randint(1, 4)
+        assert to_sympy(a ** k) == (sa ** k if k >= 0 else (1 / sa) ** -k)
+
+
+def _positive_order_numbers(s: int, n_max: int) -> list:
+    # coefficients of t^m/m! in ((e^t - L)/(1 - L))^s
+    scale = (1 - L) ** -s
+    return [scale * sum((comb(s, j) * (-L) ** (s - j) * j ** m for j in range(s + 1)), K.zero)
+            for m in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_numbers_invert_the_generating_series(r):
+    n_max = 12
+    a = _positive_order_numbers(r, n_max)
+    h = [to_sympy(v) for v in fe_numbers(n_max, r)]
+    for n in range(n_max + 1):
+        total = sum((comb(n, k) * a[n - k] * h[k] for k in range(n + 1)), K.zero)
+        assert total == (K.one if n == 0 else K.zero), n
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_negative_order_numbers_are_series_coefficients(s):
+    n_max = 12
+    assert [to_sympy(v) for v in fe_numbers(n_max, -s)] == _positive_order_numbers(s, n_max)

@@ -60,12 +60,12 @@ def test_skip_guards():
 
 
 def test_roundtrip_cell_is_deterministic():
-    a = verify_thm1_roundtrip(7, *roundtrip_inputs(DEFAULT_SEED, 8)[7])
-    b = verify_thm1_roundtrip(7, *roundtrip_inputs(DEFAULT_SEED, 8)[7])
+    a = verify_thm1_roundtrip(7, *list(roundtrip_inputs(DEFAULT_SEED, 8))[7])
+    b = verify_thm1_roundtrip(7, *list(roundtrip_inputs(DEFAULT_SEED, 8))[7])
     assert a.params == b.params
     assert (a.lhs, a.rhs, a.status) == (b.lhs, b.rhs, b.status)
     assert a.status == "equal"
-    other = verify_thm1_roundtrip(7, *roundtrip_inputs(DEFAULT_SEED + 1, 8)[7])
+    other = verify_thm1_roundtrip(7, *list(roundtrip_inputs(DEFAULT_SEED + 1, 8))[7])
     assert (other.params, other.lhs) != (a.params, a.lhs)
 
 
@@ -143,6 +143,20 @@ def test_dropped_factor_is_caught(monkeypatch):
     assert all(c.identity in {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"} for c in bad)
 
 
+def test_thm5_mismatch_names_each_route_that_differs(monkeypatch):
+    equal = verify_thm5(3, 2)
+    assert equal.status == "equal" and equal.rhs == equal.lhs
+    orig = suite._split_sum_numbers
+    monkeypatch.setattr(suite, "_split_sum_numbers", lambda n, r, s: orig(n, r, s) + 1)
+    c = verify_thm5(3, 2)
+    assert c.status == "mismatch"
+    assert c.rhs == f"split_sum: {orig(3, 2, 4) + 1}"
+    bump = frobenius.lowering_coeff
+    monkeypatch.setattr(frobenius, "lowering_coeff", lambda *a: bump(*a) + 1)
+    c = verify_thm5(3, 2)
+    assert c.rhs.startswith("split_sum: ") and "; lowering_coeff: " in c.rhs
+
+
 def test_registry_names_the_verify_functions():
     verifiers = {name[len("verify_"):] for name in vars(suite) if name.startswith("verify_")}
     assert set(IDENTITY_IDS) == verifiers and len(IDENTITY_IDS) == 10
@@ -162,4 +176,4 @@ def test_plan_draws_the_roundtrip_inputs():
     for seed in (DEFAULT_SEED, 5):
         drawn = [(args["p"], args["r"]) for ident, args in suite._plan(10, 4, 0, seed)
                  if ident == "thm1_roundtrip"]
-        assert drawn == roundtrip_inputs(seed, 100)
+        assert drawn == list(roundtrip_inputs(seed, 100))
