@@ -9,7 +9,13 @@ values coincides with structural (and textual) equality.
   nonzero coefficient.  gcd(p, q) = 1, ``q == (1,)`` exactly when the
   value is a polynomial, and zero is ``0 * () / (1,)``.  Arithmetic reads
   and writes this form directly: gcd, exact division and convolution run
-  on the int tuples, and only the content is a ``Fraction``.
+  on the int tuples, and only the content is a ``Fraction``.  The gcd is
+  heuristic (GCDHEU: one big-integer gcd of the two polynomials' values
+  at a point, checked by exact division), with the primitive
+  pseudo-remainder sequence as its fallback.  Two cases skip it: a
+  constant factor scales the content only, and a sum over equal
+  denominators adds the numerators and reduces against that one
+  denominator.
 * ``LambdaPoly`` is the input and view type: ascending rational
   coefficients with no trailing zero, so the zero polynomial is the empty
   tuple.  ``LambdaRat(num, den)`` accepts it, and ``LambdaRat.num`` and
@@ -21,7 +27,7 @@ values coincides with structural (and textual) equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -96,9 +102,9 @@ def _irem(a, b) -> list:
     return _itrim(r)
 
 
-def _igcd(a, b):
-    """Gcd of two nonzero primitive int sequences, primitive with a
-    positive lowest nonzero coefficient."""
+def _prs_gcd(a, b):
+    """Gcd by the primitive pseudo-remainder sequence: the fallback of
+    ``_igcd``, with the same inputs and output."""
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -109,21 +115,74 @@ def _igcd(a, b):
     return a
 
 
-def _idivexact(a, b) -> list:
-    """Quotient a // b when b is known to divide a over the integers."""
+def _igcd(a, b):
+    """Gcd of two nonzero primitive int sequences, primitive with a
+    positive lowest nonzero coefficient.
+
+    GCDHEU (Char, Geddes & Gonnet 1989): the integer gcd of a(x) and b(x)
+    is read back as a polynomial from its symmetric base-x digits.  The
+    point x exceeds every common root by more than x/2, so a candidate
+    that divides both operands is their gcd (a constant one means they
+    are coprime); otherwise x grows, and after six tries ``_prs_gcd``
+    decides.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return (1,)
+    if a == b:
+        return a
+    na = max(map(abs, a))
+    nb = max(map(abs, b))
+    bound = 2 * min(na, nb) + 29
+    x = max(min(bound, 99 * isqrt(bound)), 2 * min(na // abs(a[-1]), nb // abs(b[-1])) + 4)
+    for _ in range(6):
+        h = gcd(_ieval(a, x), _ieval(b, x))
+        half = x // 2
+        digits = []
+        while h:
+            d = h % x
+            if d > half:
+                d -= x
+            digits.append(d)
+            h = (h - d) // x
+        cand = _iprim(digits)[1]
+        if len(cand) == 1:
+            return (1,)
+        if _iquo(a, cand) is not None and _iquo(b, cand) is not None:
+            return cand
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return _prs_gcd(a, b)
+
+
+def _iquo(a, b):
+    """Quotient a / b over the integers, or None when b does not divide a."""
     if not a:
         return []
-    q = [0] * (len(a) - len(b) + 1)
+    nb = len(b)
+    if len(a) < nb:
+        return None
+    q = [0] * (len(a) - nb + 1)
     r = list(a)
     lb = b[-1]
     for k in range(len(q) - 1, -1, -1):
-        c = r[len(b) - 1 + k]
+        c = r[nb - 1 + k]
         if c:
-            qc = c // lb
+            qc, m = divmod(c, lb)
+            if m:
+                return None
             q[k] = qc
             for i, bc in enumerate(b):
                 r[i + k] -= qc * bc
+    if any(r[:nb - 1]):
+        return None
     return q
+
+
+def _ieval(a, x: int) -> int:
+    """Value of an int sequence at an integer point, by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
 
 
 def _ipow(a, n: int) -> list:
@@ -258,8 +317,8 @@ class LambdaRat:
             return
         g = _igcd(p, q)
         if len(g) > 1:
-            p = tuple(_idivexact(p, g))
-            q = tuple(_idivexact(q, g))
+            p = tuple(_iquo(p, g))
+            q = tuple(_iquo(q, g))
         self.c, self.p, self.q = cn / cd, p, q
 
     @classmethod
@@ -303,14 +362,18 @@ class LambdaRat:
         if not other.p:
             return self
         pa, qa, pb, qb = self.p, self.q, other.p, other.q
-        g = _igcd(qa, qb)
-        if len(g) > 1:
-            qa2 = _idivexact(qa, g)
-            qb2 = _idivexact(qb, g)
+        if qa == qb:
+            # equal denominators: the sum of the numerators over q
+            g, qa2, qb2, left, right = qa, (1,), (1,), pa, pb
         else:
-            qa2, qb2 = qa, qb
-        left = _imul(pa, qb2)
-        right = _imul(pb, qa2)
+            g = _igcd(qa, qb)
+            if len(g) > 1:
+                qa2 = _iquo(qa, g)
+                qb2 = _iquo(qb, g)
+            else:
+                qa2, qb2 = qa, qb
+            left = _imul(pa, qb2)
+            right = _imul(pb, qa2)
         # ca*left + cb*right with one common integer denominator
         ca, cb = self.c, other.c
         da, db = ca.denominator, cb.denominator
@@ -330,8 +393,8 @@ class LambdaRat:
         if len(g) > 1:
             g2 = _igcd(pn, g)
             if len(g2) > 1:
-                pn = _idivexact(pn, g2)
-                g = _idivexact(g, g2)
+                pn = _iquo(pn, g2)
+                g = _iquo(g, g2)
         den = _imul(_imul(qa2, g), qb2)
         return LambdaRat._make(Fraction(cn, dd), tuple(pn), tuple(den))
 
@@ -356,14 +419,19 @@ class LambdaRat:
         if not self.p or not other.p:
             return ZERO
         pa, qa, pb, qb = self.p, self.q, other.p, other.q
+        # a constant factor scales the content only
+        if pa == qa == (1,):
+            return LambdaRat._make(self.c * other.c, pb, qb)
+        if pb == qb == (1,):
+            return LambdaRat._make(self.c * other.c, pa, qa)
         g1 = _igcd(pa, qb)
         if len(g1) > 1:
-            pa = _idivexact(pa, g1)
-            qb = _idivexact(qb, g1)
+            pa = _iquo(pa, g1)
+            qb = _iquo(qb, g1)
         g2 = _igcd(pb, qa)
         if len(g2) > 1:
-            pb = _idivexact(pb, g2)
-            qa = _idivexact(qa, g2)
+            pb = _iquo(pb, g2)
+            qa = _iquo(qa, g2)
         return LambdaRat._make(self.c * other.c, tuple(_imul(pa, pb)), tuple(_imul(qa, qb)))
 
     __rmul__ = __mul__

@@ -291,6 +291,21 @@ def test_number_denominators_are_powers_of_one_minus_lambda():
             assert h.den == ((ONE - LAMBDA) ** int(d)).num
 
 
+def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
+    # A_n(L) / (L - 1)^n with A_n from the integer Eulerian recurrence;
+    # A_n(1) = n! != 0, so the fraction is already reduced and its
+    # canonical form is (-1)^n A_n(L) over (1 - L)^n
+    row = [1]
+    h = fe_numbers(60, 1)
+    for n in range(61):
+        if n:
+            row = [(k + 1) * (row[k] if k < len(row) else 0)
+                   + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
+        sign = -1 if n % 2 else 1
+        assert h[n].num.coeffs == tuple(Fraction(sign * a) for a in row), n
+        assert h[n].den.coeffs == tuple(Fraction((-1) ** k * comb(n, k)) for k in range(n + 1)), n
+
+
 def test_cache_reproducibility():
     fresh = FeulerCache()
     for r in (-1, 1, 2):

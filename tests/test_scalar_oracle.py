@@ -5,6 +5,7 @@ printed-form coefficients, so the oracle shares no arithmetic with feuler.
 """
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -14,7 +15,8 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
 from feuler.frobenius import fe_numbers  # noqa: E402
-from genutil import rand_lrat  # noqa: E402
+from feuler.scalar import lrat  # noqa: E402
+from genutil import rand_lpoly, rand_lrat  # noqa: E402
 
 K, L = field("L", QQ)
 
@@ -25,10 +27,22 @@ def to_sympy(v):
     return poly(v.num.coeffs) / poly(v.den.coeffs)
 
 
+def _pair(rng, i):
+    # 67 pairs of a value and a nonzero constant (the constant factor
+    # path), 67 over one denominator (the equal-denominator path: adding a
+    # polynomial keeps a reduced denominator) and 66 plain pairs
+    a = rand_lrat(rng, max_deg=3)
+    if i % 3 == 0:
+        return a, lrat(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)))
+    if i % 3 == 1:
+        return a, a + rand_lpoly(rng, max_deg=3)
+    return a, rand_lrat(rng, max_deg=3)
+
+
 def test_field_operations_match_sympy():
     rng = random.Random(3017)
-    for _ in range(200):
-        a, b = rand_lrat(rng, max_deg=3), rand_lrat(rng, max_deg=3)
+    for i in range(200):
+        a, b = _pair(rng, i)
         sa, sb = to_sympy(a), to_sympy(b)
         assert to_sympy(a + b) == sa + sb
         assert to_sympy(a - b) == sa - sb

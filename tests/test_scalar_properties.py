@@ -12,7 +12,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from feuler.scalar import LambdaPoly, LambdaRat, lrat  # noqa: E402
+from feuler import scalar  # noqa: E402
+from feuler.scalar import (  # noqa: E402
+    LambdaPoly, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, lrat)
 from feuler.xpoly import XPoly  # noqa: E402
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -21,6 +23,8 @@ nonzero_polys = polys.map(lambda p: p if p else LambdaPoly([1]))
 lrats = st.builds(LambdaRat, polys, nonzero_polys)
 nonzero_lrats = lrats.filter(bool)
 xpolys = st.lists(lrats, max_size=4).map(XPoly)
+# nonzero int polynomials of degree <= 20, coefficients up to 2^70
+int_polys = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=21).map(_itrim).filter(bool)
 
 seeded = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -86,3 +90,23 @@ def test_polynomials_and_constants_hash_like_their_plain_types(p, b, f, a):
     assert w == f and w == lrat(f)
     assert hash(w) == hash(f) == hash(LambdaPoly([f]))
     assert {f: "found"}[w] == "found"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(int_polys, int_polys, int_polys)
+def test_heuristic_gcd_finds_a_planted_factor_like_prs(a, b, c):
+    # operands a*c and b*c, degree up to 40; their gcd holds c
+    pa = _iprim(_imul(a, c))[1]
+    pb = _iprim(_imul(b, c))[1]
+    g = _igcd(pa, pb)
+    assert list(g) == list(_prs_gcd(pa, pb))
+    assert _iquo(g, _iprim(c)[1]) is not None
+    qa, qb = _iquo(pa, g), _iquo(pb, g)
+    assert qa is not None and qb is not None
+    assert len(_prs_gcd(qa, qb)) == 1
+
+
+def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
+    # no candidate is accepted, so after six points the PRS decides
+    monkeypatch.setattr(scalar, "_iquo", lambda a, b: None)
+    assert list(scalar._igcd((2, 3, 1), (3, 4, 1))) == [1, 1]
