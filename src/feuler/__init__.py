@@ -11,7 +11,6 @@ from .umbral import (
 )
 from .frobenius import (
     BasisExpansion,
-    FeulerCache,
     clear_caches,
     delta_pow_at_zero,
     fe_numbers,
@@ -52,7 +51,6 @@ __all__ = [
     "appell_expand",
     "appell_sequence",
     "BasisExpansion",
-    "FeulerCache",
     "clear_caches",
     "delta_pow_at_zero",
     "fe_numbers",

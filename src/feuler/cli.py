@@ -263,13 +263,24 @@ def _emit_table(args, header, rows, latex_lines, json_obj) -> str:
     return json.dumps(json_obj) + "\n"
 
 
+def _emit_row(args, header, row, latex) -> str:
+    """One value with its arguments: plain prints the value alone."""
+    if args.format == "plain":
+        return f"{row[-1]}\n"
+    if args.format == "csv":
+        return _csv_text(header, [row])
+    if args.format == "latex":
+        return latex + "\n"
+    return json.dumps(dict(zip(header, row))) + "\n"
+
+
 def _cells_csv(cells) -> str:
     return _csv_text(("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
                      [(c.identity, json.dumps(c.params, sort_keys=True), c.status,
                        c.lhs, c.rhs, c.elapsed_us) for c in cells])
 
 
-def _cmd_numbers(args) -> int:
+def _cmd_numbers(args, seed: int) -> int:
     r = args.order
     values = frobenius.fe_numbers(args.n_max, r)
     if args.lam is not None:
@@ -286,24 +297,16 @@ def _cmd_numbers(args) -> int:
     return 0
 
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args, seed: int) -> int:
     p = frobenius.fe_poly(args.n, args.order)
     if args.lam is not None:
         p = XPoly([lrat(c.evaluate(args.lam)) for c in p.coeffs])
-    text = str(p)
-    if args.format == "latex":
-        out = f"H_{{{args.n}}}^{{({args.order})}}(x\\mid\\lambda) = {latex_xpoly(p)}\n"
-    elif args.format == "csv":
-        out = _csv_text(("n", "order", "poly"), [(args.n, args.order, text)])
-    elif args.format == "json":
-        out = json.dumps({"n": args.n, "order": args.order, "poly": text}) + "\n"
-    else:
-        out = text + "\n"
-    sys.stdout.write(out)
+    latex = f"H_{{{args.n}}}^{{({args.order})}}(x\\mid\\lambda) = {latex_xpoly(p)}"
+    sys.stdout.write(_emit_row(args, ("n", "order", "poly"), (args.n, args.order, str(p)), latex))
     return 0
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args, seed: int) -> int:
     try:
         p = parse_poly_expr(args.poly)
     except PolyParseError as exc:
@@ -329,23 +332,15 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_stirling(args) -> int:
+def _cmd_stirling(args, seed: int) -> int:
     v = frobenius.stirling_lambda(args.n, args.k)
     if args.lam is not None:
-        text = str(v.evaluate(args.lam))
-        tex = latex_fraction(v.evaluate(args.lam))
+        v = v.evaluate(args.lam)
+        tex = latex_fraction(v)
     else:
-        text = str(v)
         tex = latex_lrat(v)
-    if args.format == "latex":
-        out = f"S_{{\\lambda}}({args.n},{args.k}) = {tex}\n"
-    elif args.format == "csv":
-        out = _csv_text(("n", "k", "value"), [(args.n, args.k, text)])
-    elif args.format == "json":
-        out = json.dumps({"n": args.n, "k": args.k, "value": text}) + "\n"
-    else:
-        out = text + "\n"
-    sys.stdout.write(out)
+    latex = f"S_{{\\lambda}}({args.n},{args.k}) = {tex}"
+    sys.stdout.write(_emit_row(args, ("n", "k", "value"), (args.n, args.k, str(v)), latex))
     return 0
 
 
@@ -416,21 +411,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="table of H_n^{(r)}(L) for n = 0..n-max")
     p.add_argument("--n-max", type=_NATURAL, default=10)
     p.add_argument("--order", type=int, default=1)
+    p.set_defaults(run=_cmd_numbers)
 
     p = sub.add_parser("poly", parents=[fmt, lam],
                        help="the polynomial H_n^{(r)}(x|L)")
     p.add_argument("--n", type=_NATURAL, required=True)
     p.add_argument("--order", type=int, default=1)
+    p.set_defaults(run=_cmd_poly)
 
     p = sub.add_parser("convert", parents=[fmt, lam],
                        help="expand a polynomial expression in the order-r basis")
     p.add_argument("--poly", required=True, metavar="EXPR")
     p.add_argument("--order", type=_NATURAL, default=1)
+    p.set_defaults(run=_cmd_convert)
 
     p = sub.add_parser("stirling", parents=[fmt, lam],
                        help="the L-analogue Stirling number S_L(n,k)")
     p.add_argument("--n", type=_NATURAL, required=True)
     p.add_argument("--k", type=_NATURAL, required=True)
+    p.set_defaults(run=_cmd_stirling)
 
     p = sub.add_parser("verify", parents=[fmt],
                        help="run one identity cell")
@@ -441,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--index", type=int)
     p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("suite", parents=[fmt],
                        help="run the full identity grid and report")
@@ -449,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=_NATURAL, default=4)
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
+    p.set_defaults(run=_cmd_suite)
 
     return top
 
@@ -463,17 +464,7 @@ def main(argv=None) -> int:
         except ValueError:
             sys.stderr.write(f"error: FEULER_SEED={env_seed!r} is not an integer\n")
             return 2
-    if args.command == "numbers":
-        return _cmd_numbers(args)
-    if args.command == "poly":
-        return _cmd_poly(args)
-    if args.command == "convert":
-        return _cmd_convert(args)
-    if args.command == "stirling":
-        return _cmd_stirling(args)
-    if args.command == "verify":
-        return _cmd_verify(args, seed)
-    return _cmd_suite(args, seed)
+    return args.run(args, seed)
 
 
 def entry():  # console-script hook

@@ -2,10 +2,16 @@
 
 H_n^{(r)}(x|L) is the Appell sequence attached to the invertible series
 g(t) = ((e^t - L)/(1 - L))^r over Q(L).  Order-1 numbers come from the
-recurrence forced by (e^t - L) * sum H_n t^n/n! = 1 - L; higher orders
-are binomial convolutions; negative orders fall out of the order-lowering
-operator J: p(x) -> (p(x+1) - L p(x))/(1 - L), whose powers connect the
-polynomials to the L-analogue of the Stirling numbers of the second kind.
+recurrence forced by (e^t - L) * sum H_n t^n/n! = 1 - L; an order r > 1
+row is the binomial convolution of the rows of orders r // 2 and
+r - r // 2, so building it recurses only log2(r) deep; negative orders
+fall out of the order-lowering operator J: p(x) -> (p(x+1) - L p(x))/(1 - L),
+whose powers connect the polynomials to the L-analogue of the Stirling
+numbers of the second kind.
+
+Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, except the
+rows of numbers, which live in ``_ROWS`` (order -> row) and are extended
+on demand; ``clear_caches()`` empties all of them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 
 from .scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, lrat
@@ -24,97 +29,61 @@ _ONE_MINUS_L = ONE - LAMBDA
 _INV = _ONE_MINUS_L.inverse()
 _L_MINUS_ONE_INV = (LAMBDA - ONE).inverse()
 
+_ROWS = {}
 
-class FeulerCache:
-    """Memoized tables of numbers (by order), polynomials (by n, order)
-    and series (by order, truncation)."""
 
-    def __init__(self):
-        self._rows = {}
-        self._polys = {}
-        self._series = {}
-
-    def clear(self):
-        self._rows.clear()
-        self._polys.clear()
-        self._series.clear()
-
-    def _row(self, r: int, n_max: int) -> list:
-        row = self._rows.setdefault(r, [])
-        if len(row) > n_max:
-            return row
-        if r == 0:
-            if not row:
-                row.append(lrat(1))
-            row.extend([ZERO] * (n_max + 1 - len(row)))
-        elif r == 1:
-            if not row:
-                row.append(lrat(1))
-            for n in range(len(row), n_max + 1):
-                acc = ZERO
-                for k in range(n):
-                    acc = acc + comb(n, k) * row[k]
-                row.append(acc * _L_MINUS_ONE_INV)
-        elif r > 1:
-            prev = self._row(r - 1, n_max)
-            base = self._row(1, n_max)
-            for n in range(len(row), n_max + 1):
-                acc = ZERO
-                for i in range(n + 1):
-                    pi = prev[i]
-                    bj = base[n - i]
-                    if not pi.is_zero and not bj.is_zero:
-                        acc = acc + comb(n, i) * pi * bj
-                row.append(acc)
-        else:
-            s = -r
-            scale = _INV ** s
-            for n in range(len(row), n_max + 1):
-                row.append(delta_pow_at_zero(n, s) * scale)
+def _row(r: int, n_max: int) -> list:
+    """The cached row H_0^{(r)}(L), H_1^{(r)}(L), ..., extended to n_max."""
+    row = _ROWS.setdefault(r, [])
+    if len(row) > n_max:
         return row
-
-    def number(self, n: int, r: int = 1) -> LambdaRat:
-        return self._row(r, n)[n]
-
-    def numbers(self, n_max: int, r: int = 1) -> list:
-        return list(self._row(r, n_max)[: n_max + 1])
-
-    def poly(self, n: int, r: int = 1) -> XPoly:
-        key = (n, r)
-        p = self._polys.get(key)
-        if p is None:
-            row = self._row(r, n)
-            cs = [comb(n, l) * row[n - l] for l in range(n + 1)]
-            p = XPoly(cs)
-            self._polys[key] = p
-        return p
-
-    def series(self, r: int, trunc: int) -> TruncSeries:
-        key = (r, trunc)
-        g = self._series.get(key)
-        if g is None:
-            g = self._series[key] = fe_series(r, trunc)
-        return g
-
-
-_CACHE = FeulerCache()
+    if r == 0:
+        if not row:
+            row.append(lrat(1))
+        row.extend([ZERO] * (n_max + 1 - len(row)))
+    elif r == 1:
+        if not row:
+            row.append(lrat(1))
+        for n in range(len(row), n_max + 1):
+            acc = ZERO
+            for k in range(n):
+                acc = acc + comb(n, k) * row[k]
+            row.append(acc * _L_MINUS_ONE_INV)
+    elif r > 1:
+        left, right = _row(r // 2, n_max), _row(r - r // 2, n_max)
+        for n in range(len(row), n_max + 1):
+            acc = ZERO
+            for i in range(n + 1):
+                a = left[i]
+                b = right[n - i]
+                if not a.is_zero and not b.is_zero:
+                    acc = acc + comb(n, i) * a * b
+            row.append(acc)
+    else:
+        s = -r
+        scale = _INV ** s
+        for n in range(len(row), n_max + 1):
+            row.append(delta_pow_at_zero(n, s) * scale)
+    return row
 
 
 def clear_caches():
-    """Empty every memo: the shared tables and the lru_caches below."""
-    _CACHE.clear()
+    """Empty every memo: the rows of numbers and the lru_caches below."""
+    _ROWS.clear()
     for memo in _MEMOS:
         memo.cache_clear()
 
 
 def fe_numbers(n_max: int, r: int = 1) -> list:
     """Numbers H_0^{(r)}(L) .. H_{n_max}^{(r)}(L), any integer order."""
-    return _CACHE.numbers(n_max, r)
+    return _row(r, n_max)[: n_max + 1]
 
 
+@lru_cache(maxsize=None)
 def fe_poly(n: int, r: int = 1) -> XPoly:
     """The monic degree-n polynomial H_n^{(r)}(x|L)."""
-    return _CACHE.poly(n, r)
+    row = _row(r, n)
+    return XPoly([comb(n, l) * row[n - l] for l in range(n + 1)])
 
 
 def fe_series(r: int, trunc: int) -> TruncSeries:
@@ -123,9 +92,10 @@ def fe_series(r: int, trunc: int) -> TruncSeries:
     return base ** r
 
 
+@lru_cache(maxsize=None)
 def cached_series(r: int, trunc: int) -> TruncSeries:
-    """fe_series(r, trunc), memoized in the shared tables."""
-    return _CACHE.series(r, trunc)
+    """fe_series(r, trunc), memoized."""
+    return fe_series(r, trunc)
 
 
 def j_lambda(p: XPoly, s: int = 1) -> XPoly:
@@ -174,24 +144,17 @@ def stirling_lambda(n: int, k: int) -> LambdaRat:
 def surjection_sum(l: int, m: int) -> int:
     """Sum of multinomial(l; k_1..k_m) over compositions of l into m parts >= 1.
 
-    Enumerated literally over the compositions; equals the number of
-    surjections from an l-set onto an m-set.
+    That is the number of surjections from an l-set onto an m-set, built
+    row by row in l from surj(l, m) = m (surj(l-1, m-1) + surj(l-1, m)).
     """
-    if m == 0:
-        return 1 if l == 0 else 0
     if m > l:
         return 0
-    fl = factorial(l)
-    total = 0
-    for cuts in combinations(range(1, l), m - 1):
-        prev = 0
-        denom = 1
-        for c in cuts:
-            denom *= factorial(c - prev)
-            prev = c
-        denom *= factorial(l - prev)
-        total += fl // denom
-    return total
+    row = [1] + [0] * m
+    for _ in range(l):
+        for j in range(m, 0, -1):
+            row[j] = j * (row[j - 1] + row[j])
+        row[0] = 0
+    return row[m]
 
 
 @lru_cache(maxsize=None)
@@ -200,29 +163,24 @@ def _inv_pow(m: int) -> LambdaRat:
 
 
 @lru_cache(maxsize=None)
-def _bracket(s: int, l: int, m_cap: int) -> LambdaRat:
+def lowering_coeff(s: int, l: int) -> LambdaRat:
+    """Weight of C(n,l) H_{n-l}^{(r)} when an order-r sequence is lowered s steps.
+
+    sum_{m <= min(s, l)} C(s,m) (1-L)^{-m} * surjection_sum(l, m); every
+    term past that bound vanishes, since C(s,m) = 0 for m > s and no
+    l-set maps onto a larger set.
+    """
     acc = ZERO
-    for m in range(m_cap + 1):
+    for m in range(min(s, l) + 1):
         w = comb(s, m) * surjection_sum(l, m)
         if w:
             acc = acc + w * _inv_pow(m)
     return acc
 
 
-def lowering_coeff(s: int, l: int, m_cap: int = None) -> LambdaRat:
-    """Weight of C(n,l) H_{n-l}^{(r)} when an order-r sequence is lowered s steps.
-
-    sum_{m<=m_cap} C(s,m) (1-L)^{-m} * surjection_sum(l, m); the cap
-    defaults to min(s, l), past which every term vanishes anyway.
-    """
-    if m_cap is None:
-        m_cap = min(s, l)
-    return _bracket(s, l, m_cap)
-
-
 # held here, not looked up by name, so that clear_caches reaches the caches
 # even when a module attribute has been rebound to a wrapper
-_MEMOS = (_delta_coeffs, surjection_sum, _inv_pow, _bracket)
+_MEMOS = (fe_poly, cached_series, _delta_coeffs, surjection_sum, _inv_pow, lowering_coeff)
 
 
 @dataclass(frozen=True)

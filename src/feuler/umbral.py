@@ -72,13 +72,6 @@ class TruncSeries:
         cs[k] = lrat(f)
         return cls._raw(tuple(cs), trunc)
 
-    def order(self):
-        """Index of the first nonzero coefficient, or None if all vanish."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return k
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -168,17 +161,6 @@ class TruncSeries:
             if n:
                 base = base * base
         return out
-
-    def scale_arg(self, alpha) -> "TruncSeries":
-        """f(alpha * t)."""
-        alpha = lrat(alpha)
-        out = []
-        power = ONE
-        for k, c in enumerate(self.coeffs):
-            if k:
-                power = power * alpha
-            out.append(c * power)
-        return TruncSeries._raw(tuple(out), self.trunc)
 
     def functional(self, p: XPoly) -> LambdaRat:
         """<f | p>: the linear functional with <t^k | x^n> = n! delta."""

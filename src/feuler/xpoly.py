@@ -184,19 +184,6 @@ class XPoly:
             out.pop()
         return XPoly._raw(tuple(out))
 
-    def dilate(self, alpha) -> "XPoly":
-        """p(alpha * x)."""
-        alpha = lrat(alpha)
-        out = []
-        power = ONE
-        for k, c in enumerate(self.coeffs):
-            if k:
-                power = power * alpha
-            out.append(c * power)
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
-
     def evaluate(self, point) -> LambdaRat:
         """Value at a point of Q(L), by Horner's rule."""
         point = lrat(point)

@@ -152,9 +152,9 @@ def test_criterion_09_mutation_detected(monkeypatch):
     true_coeff = frobenius.lowering_coeff
     om = ONE - LAMBDA
 
-    def dropped_factor(s, l, m_cap=None):
+    def dropped_factor(s, l):
         # one (1 - L) factor removed from the coefficient's denominator
-        return true_coeff(s, l, m_cap) * om
+        return true_coeff(s, l) * om
 
     monkeypatch.setattr(frobenius, "lowering_coeff", dropped_factor)
     report = suite.run_suite(3, 2, 2)

@@ -434,3 +434,13 @@ def test_module_entry_subprocess():
         [sys.executable, "-m", "feuler", "numbers", "--lambda", "1"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_numbers_of_a_high_order():
+    proc = subprocess.run(
+        [sys.executable, "-m", "feuler", "numbers", "--order", "1200"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [row.split("\t")[0] for row in rows] == [str(n) for n in range(11)]

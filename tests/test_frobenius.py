@@ -8,6 +8,7 @@ polynomial recurrence.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -18,7 +19,6 @@ from feuler.xpoly import X, XPoly
 from feuler import frobenius
 from feuler.frobenius import (
     BasisExpansion,
-    FeulerCache,
     delta_pow_at_zero,
     fe_numbers,
     fe_poly,
@@ -66,6 +66,22 @@ def compositions(total, parts):
             yield (v,) + rest
 
 
+def surjections_enumerated(l, m):
+    """Sum of multinomial(l; k_1..k_m) over the compositions of l into m parts >= 1."""
+    if m == 0:
+        return 1 if l == 0 else 0
+    total = 0
+    for cuts in combinations(range(1, l), m - 1):
+        parts = [b - a for a, b in zip((0,) + cuts, cuts + (l,))]
+        if not all(parts):
+            continue
+        denom = 1
+        for k in parts:
+            denom *= factorial(k)
+        total += factorial(l) // denom
+    return total
+
+
 def one_step_j(p):
     return (p.shift(1) - L * p) * ONE_MINUS.inverse()
 
@@ -92,6 +108,13 @@ def test_numbers_match_series_reciprocal():
         got = fe_numbers(n, r)
         want = fe_series(r, n).recip().coeffs
         assert tuple(got) == want, f"order {r}"
+
+
+def test_high_order_numbers_match_series_powering():
+    # rows of order r > 1 are built from orders r // 2 and r - r // 2;
+    # the series side powers g(t) by repeated squaring instead
+    for r in (4, 5, 7, 1200):
+        assert tuple(fe_numbers(10, r)) == fe_series(-r, 10).coeffs, f"order {r}"
 
 
 def test_numbers_match_literal_multinomial_convolution():
@@ -207,14 +230,23 @@ def test_surjection_sum_values():
             assert surjection_sum(l, l) == factorial(l)
 
 
+def test_surjection_sum_matches_enumeration():
+    for l in range(15):
+        for m in range(16):
+            assert surjection_sum(l, m) == surjections_enumerated(l, m), (l, m)
+
+
+def test_surjection_sum_large_l():
+    # inclusion-exclusion: 3^l - 3 * 2^l + 3 onto a 3-set
+    assert surjection_sum(2000, 3) == 3 ** 2000 - 3 * 2 ** 2000 + 3
+
+
 def test_lowering_coeff_values():
     inv = ONE_MINUS.inverse()
     assert lowering_coeff(0, 0) == 1
     assert lowering_coeff(1, 1) == inv
     assert lowering_coeff(2, 1) == 2 * inv
     assert lowering_coeff(2, 2) == 2 * inv + 2 * inv ** 2
-    # a cap past min(s, l) adds nothing
-    assert lowering_coeff(3, 2, m_cap=7) == lowering_coeff(3, 2)
 
 
 def test_lowering_coeff_is_scaled_stirling():
@@ -306,29 +338,20 @@ def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
         assert h[n].den.coeffs == tuple(Fraction((-1) ** k * comb(n, k)) for k in range(n + 1)), n
 
 
-def test_cache_reproducibility():
-    fresh = FeulerCache()
-    for r in (-1, 1, 2):
-        assert fresh.numbers(6, r) == fe_numbers(6, r)
-        for n in range(7):
-            assert fresh.poly(n, r) == fe_poly(n, r)
-    # memoized object is reused
-    assert fresh.poly(5, 2) is fresh.poly(5, 2)
-    fresh.clear()
-    assert fresh.poly(5, 2) == fe_poly(5, 2)
-
-
 def test_clear_caches_empties_every_memo():
     def values():
         return (fe_numbers(6, 3), fe_poly(6, 2), fe_numbers(6, -2), stirling_lambda(6, 3),
                 lowering_coeff(3, 5), frobenius.cached_series(2, 6))
 
     before = values()
-    tables = frobenius._CACHE
-    memos = (frobenius._delta_coeffs, surjection_sum, frobenius._inv_pow, frobenius._bracket)
-    assert tables._rows and tables._polys and tables._series
+    # a memoized polynomial is the same object on every call
+    assert fe_poly(5, 2) is fe_poly(5, 2)
+    memos = (fe_poly, frobenius.cached_series, frobenius._delta_coeffs, surjection_sum,
+             frobenius._inv_pow, lowering_coeff)
+    assert set(frobenius._MEMOS) == set(memos)
+    assert frobenius._ROWS
     assert all(m.cache_info().currsize for m in memos)
     frobenius.clear_caches()
-    assert not (tables._rows or tables._polys or tables._series)
+    assert not frobenius._ROWS
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
     assert values() == before

@@ -126,8 +126,8 @@ def test_dropped_factor_is_caught(monkeypatch):
     orig = frobenius.lowering_coeff
     one_minus = ONE - LAMBDA
 
-    def mutated(s, l, m_cap=None):
-        v = orig(s, l, m_cap)
+    def mutated(s, l):
+        v = orig(s, l)
         if (s, l) == (1, 1):
             return v * one_minus
         return v

@@ -118,30 +118,6 @@ def test_pow():
     assert (f ** -2) * (f ** 2) == TruncSeries.one(N)
 
 
-def test_scale_arg():
-    rng = random.Random(29)
-    y = rand_lrat(rng)
-    alpha = rand_lrat(rng)
-    assert TruncSeries.exponential(y, N).scale_arg(alpha) \
-        == TruncSeries.exponential(y * alpha, N)
-    # <f(at) | p(x)> = <f(t) | p(ax)>
-    for _ in range(15):
-        f = rand_series(rng)
-        p = rand_xpoly(rng, N)
-        a = rand_lrat(rng)
-        assert f.scale_arg(a).functional(p) == f.functional(p.dilate(a))
-
-
-def test_order():
-    assert TruncSeries.one(4).order() == 0
-    assert TruncSeries.t_power(3, 5).order() == 3
-    assert TruncSeries([0, 0, 0], 2).order() is None
-    rng = random.Random(30)
-    f = rand_series(rng, invertible=True)
-    g = TruncSeries.t_power(2, N)
-    assert (f * g).order() == 2
-
-
 def test_truncation_guards():
     f = TruncSeries.one(3)
     p = X ** 5

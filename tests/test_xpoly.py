@@ -86,19 +86,6 @@ def test_taylor_expansion():
         assert total == p.shift(a)
 
 
-def test_dilate():
-    p = X ** 2 + X + 1
-    assert p.dilate(2) == 4 * X ** 2 + 2 * X + 1
-    assert p.dilate(1) == p
-    assert p.dilate(0) == XPoly([1])
-    rng = random.Random(14)
-    for _ in range(15):
-        q = rand_xpoly(rng, 5)
-        alpha = rand_lrat(rng)
-        pt = rand_lrat(rng)
-        assert q.dilate(alpha).evaluate(pt) == q.evaluate(alpha * pt)
-
-
 def test_ring_axioms_random():
     rng = random.Random(15)
     for _ in range(25):
