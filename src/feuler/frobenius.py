@@ -9,9 +9,10 @@ fall out of the order-lowering operator J: p(x) -> (p(x+1) - L p(x))/(1 - L),
 whose powers connect the polynomials to the L-analogue of the Stirling
 numbers of the second kind.
 
-Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, except the
-rows of numbers, which live in ``_ROWS`` (order -> row) and are extended
-on demand; ``clear_caches()`` empties all of them.
+Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, scalar's
+memo of the rows of (1 - L)^e among them, except the rows of numbers,
+which live in ``_ROWS`` (order -> row) and are extended on demand;
+``clear_caches()`` empties all of them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, lrat
+from .scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, _one_minus_l_pow, lrat
 from .umbral import TruncSeries
 from .xpoly import XPoly
 
@@ -68,7 +69,7 @@ def _row(r: int, n_max: int) -> list:
 
 
 def clear_caches():
-    """Empty every memo: the rows of numbers and the lru_caches below."""
+    """Empty every memo: the rows of numbers and the lru_caches in _MEMOS."""
     _ROWS.clear()
     for memo in _MEMOS:
         memo.cache_clear()
@@ -179,8 +180,10 @@ def lowering_coeff(s: int, l: int) -> LambdaRat:
 
 
 # held here, not looked up by name, so that clear_caches reaches the caches
-# even when a module attribute has been rebound to a wrapper
-_MEMOS = (fe_poly, cached_series, _delta_coeffs, surjection_sum, _inv_pow, lowering_coeff)
+# even when a module attribute has been rebound to a wrapper; the last is
+# scalar's memo of the rows of (1 - L)^e
+_MEMOS = (fe_poly, cached_series, _delta_coeffs, surjection_sum, _inv_pow, lowering_coeff,
+          _one_minus_l_pow)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,19 @@ values coincides with structural (and textual) equality.
   on the int tuples, and only the content is a ``Fraction``.  The gcd is
   heuristic (GCDHEU: one big-integer gcd of the two polynomials' values
   at a point, checked by exact division), with the primitive
-  pseudo-remainder sequence as its fallback.  Two cases skip it: a
-  constant factor scales the content only, and a sum over equal
-  denominators adds the numerators and reduces against that one
-  denominator.
+  pseudo-remainder sequence as its fallback.  Three cases skip it: a
+  constant factor scales the content only; a sum over equal denominators
+  adds the numerators and reduces against that one denominator; and when
+  both denominators are powers of (1 - L), the denominators of every
+  Frobenius-Euler value, no gcd runs at all.  That path recognises
+  q = (1 - L)^e by its alternating binomial row (e = 0 counted, rows
+  memoized by e), lifts the numerator of the smaller exponent by
+  (1 - L)^(e_max - e) and adds, or multiplies the numerators and adds
+  the exponents, and then strips (1 - L) from the numerator while its
+  coefficients sum to zero, one synthetic division b_i = a_0 + ... + a_i
+  each.  By Gauss's lemma the quotient of a primitive polynomial by
+  (1 - L) is primitive with the same lowest coefficient, so the result
+  is canonical as it stands.
 * ``LambdaPoly`` is the input and view type: ascending rational
   coefficients with no trailing zero, so the zero polynomial is the empty
   tuple.  ``LambdaRat(num, den)`` accepts it, and ``LambdaRat.num`` and
@@ -27,7 +36,9 @@ values coincides with structural (and textual) equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from itertools import accumulate
+from math import comb, gcd, isqrt
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -197,6 +208,59 @@ def _ipow(a, n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _one_minus_l_pow(e: int) -> tuple:
+    """(1 - L)^e as its int tuple, the alternating binomial row."""
+    return tuple(-comb(e, k) if k & 1 else comb(e, k) for k in range(e + 1))
+
+
+def _exponent(q):
+    """e when the canonical denominator q is (1 - L)^e, else None."""
+    e = len(q) - 1
+    if e == 0 or (q[0] == 1 and q[1] == -e and q == _one_minus_l_pow(e)):
+        return e
+    return None
+
+
+def _lift(p, d: int) -> list:
+    """p * (1 - L)^d, one factor at a time: b_i = a_i - a_(i-1)."""
+    p = list(p)
+    for _ in range(d):
+        p = [a - b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+def _strip(p, e: int) -> tuple:
+    """(p / (1 - L)^k, e - k) for the largest k <= e with (1 - L)^k | p.
+
+    p is nonzero; (1 - L) divides it exactly when its coefficients sum to
+    zero, and the quotient is b_i = a_0 + ... + a_i.
+    """
+    while e and not sum(p):
+        p = list(accumulate(p[:-1]))
+        e -= 1
+    return p, e
+
+
+def _combine(ca: Fraction, left, cb: Fraction, right) -> tuple:
+    """ca * left + cb * right as (content, primitive int list), with one
+    common integer denominator; zero is (0, [])."""
+    da, db = ca.denominator, cb.denominator
+    dd = da // gcd(da, db) * db
+    ua = ca.numerator * (dd // da)
+    ub = cb.numerator * (dd // db)
+    if len(left) < len(right):
+        left, right, ua, ub = right, left, ub, ua
+    acc = [ua * c for c in left]
+    for i, c in enumerate(right):
+        acc[i] += ub * c
+    _itrim(acc)
+    if not acc:
+        return 0, acc
+    cn, pn = _iprim(acc)
+    return Fraction(cn, dd), pn
+
+
 def _horner(coeffs, point) -> Fraction:
     """Value of an ascending coefficient sequence at a rational point."""
     if not isinstance(point, Fraction):
@@ -362,6 +426,19 @@ class LambdaRat:
         if not other.p:
             return self
         pa, qa, pb, qb = self.p, self.q, other.p, other.q
+        ea = _exponent(qa)
+        eb = _exponent(qb) if ea is not None else None
+        if eb is not None:
+            # over (1 - L)^ea and (1 - L)^eb: lift to the larger power
+            if ea < eb:
+                pa = _lift(pa, eb - ea)
+            elif eb < ea:
+                pb = _lift(pb, ea - eb)
+            c, pn = _combine(self.c, pa, other.c, pb)
+            if not pn:
+                return ZERO
+            pn, e = _strip(pn, max(ea, eb))
+            return LambdaRat._make(c, tuple(pn), _one_minus_l_pow(e))
         if qa == qb:
             # equal denominators: the sum of the numerators over q
             g, qa2, qb2, left, right = qa, (1,), (1,), pa, pb
@@ -374,21 +451,9 @@ class LambdaRat:
                 qa2, qb2 = qa, qb
             left = _imul(pa, qb2)
             right = _imul(pb, qa2)
-        # ca*left + cb*right with one common integer denominator
-        ca, cb = self.c, other.c
-        da, db = ca.denominator, cb.denominator
-        dd = da // gcd(da, db) * db
-        ua = ca.numerator * (dd // da)
-        ub = cb.numerator * (dd // db)
-        if len(left) < len(right):
-            left, right, ua, ub = right, left, ub, ua
-        acc = [ua * c for c in left]
-        for i, c in enumerate(right):
-            acc[i] += ub * c
-        _itrim(acc)
-        if not acc:
+        c, pn = _combine(self.c, left, other.c, right)
+        if not pn:
             return ZERO
-        cn, pn = _iprim(acc)
         # the only shared factors left can sit inside g
         if len(g) > 1:
             g2 = _igcd(pn, g)
@@ -396,7 +461,7 @@ class LambdaRat:
                 pn = _iquo(pn, g2)
                 g = _iquo(g, g2)
         den = _imul(_imul(qa2, g), qb2)
-        return LambdaRat._make(Fraction(cn, dd), tuple(pn), tuple(den))
+        return LambdaRat._make(c, tuple(pn), tuple(den))
 
     __radd__ = __add__
 
@@ -424,6 +489,12 @@ class LambdaRat:
             return LambdaRat._make(self.c * other.c, pb, qb)
         if pb == qb == (1,):
             return LambdaRat._make(self.c * other.c, pa, qa)
+        ea = _exponent(qa)
+        eb = _exponent(qb) if ea is not None else None
+        if eb is not None:
+            # over (1 - L)^ea and (1 - L)^eb: the exponents add
+            pn, e = _strip(_imul(pa, pb), ea + eb)
+            return LambdaRat._make(self.c * other.c, tuple(pn), _one_minus_l_pow(e))
         g1 = _igcd(pa, qb)
         if len(g1) > 1:
             pa = _iquo(pa, g1)

@@ -6,6 +6,14 @@ from feuler.scalar import LambdaPoly, LambdaRat
 from feuler.xpoly import XPoly
 
 
+def times_one_minus_l(coeffs, k):
+    """The coefficients of coeffs * (1 - L)^k, one factor at a time."""
+    out = list(coeffs)
+    for _ in range(k):
+        out = [c - d for c, d in zip(out + [0], [0] + out)]
+    return out
+
+
 def rand_lpoly(rng, max_deg=2, zero_ok=True):
     deg = rng.randint(0, max_deg)
     p = LambdaPoly([rng.randint(-5, 5) for _ in range(deg + 1)])

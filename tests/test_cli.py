@@ -444,3 +444,17 @@ def test_numbers_of_a_high_order():
     assert "Traceback" not in proc.stderr
     rows = proc.stdout.splitlines()
     assert [row.split("\t")[0] for row in rows] == [str(n) for n in range(11)]
+
+
+def test_numbers_of_a_large_negative_order():
+    # the closed form divides degree-1200 numerators by (1 - L)^1200;
+    # reduced by the general gcd, that takes minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "feuler", "numbers", "--n-max", "10", "--order", "-1200"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    # the series route: coefficients of ((e^t - L)/(1 - L))^1200; equal
+    # values print equal strings, so the printed rows must match them
+    series = frobenius.fe_series(1200, 10).coeffs
+    assert proc.stdout.splitlines() == [f"{n}\t{v}" for n, v in enumerate(series)]

@@ -16,7 +16,7 @@ import pytest
 from feuler.scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, lrat
 from feuler.umbral import TruncSeries, appell_expand, appell_sequence
 from feuler.xpoly import X, XPoly
-from feuler import frobenius
+from feuler import frobenius, scalar
 from feuler.frobenius import (
     BasisExpansion,
     delta_pow_at_zero,
@@ -347,7 +347,7 @@ def test_clear_caches_empties_every_memo():
     # a memoized polynomial is the same object on every call
     assert fe_poly(5, 2) is fe_poly(5, 2)
     memos = (fe_poly, frobenius.cached_series, frobenius._delta_coeffs, surjection_sum,
-             frobenius._inv_pow, lowering_coeff)
+             frobenius._inv_pow, lowering_coeff, scalar._one_minus_l_pow)
     assert set(frobenius._MEMOS) == set(memos)
     assert frobenius._ROWS
     assert all(m.cache_info().currsize for m in memos)

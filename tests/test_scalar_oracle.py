@@ -6,6 +6,7 @@ printed-form coefficients, so the oracle shares no arithmetic with feuler.
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -15,8 +16,8 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
 from feuler.frobenius import fe_numbers  # noqa: E402
-from feuler.scalar import lrat  # noqa: E402
-from genutil import rand_lpoly, rand_lrat  # noqa: E402
+from feuler.scalar import LambdaPoly, LambdaRat, lrat  # noqa: E402
+from genutil import rand_lpoly, rand_lrat, times_one_minus_l  # noqa: E402
 
 K, L = field("L", QQ)
 
@@ -24,13 +25,47 @@ K, L = field("L", QQ)
 def to_sympy(v):
     def poly(cs):
         return sum((QQ(c.numerator, c.denominator) * L ** i for i, c in enumerate(cs)), K.zero)
-    return poly(v.num.coeffs) / poly(v.den.coeffs)
+    out = poly(v.num.coeffs) / poly(v.den.coeffs)
+    # SymPy cancels common factors: a denominator it shortens was unreduced
+    assert out.denom.degree() == len(v.den.coeffs) - 1, v
+    return out
+
+
+def _over_one_minus_l(num, e):
+    # num / (1 - L)^e through the general constructor, which reduces it
+    return LambdaRat(LambdaPoly(num), LambdaPoly(times_one_minus_l([1], e)))
+
+
+def _power_pair(rng, i):
+    # both denominators (1 - L)^e with e <= 8, cycling through four kinds:
+    # sums that cancel (1 - L)^k, products where a polynomial numerator
+    # carries (1 - L)^k against the other denominator, a polynomial
+    # against e > 0, and two unrelated exponents
+    e = rng.randint(1, 8)
+    na = rand_lpoly(rng, max_deg=4, zero_ok=False).coeffs
+    a = _over_one_minus_l(na, e)
+    kind = i % 4
+    if kind == 0:
+        k = rng.randint(1, e)
+        common = times_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs, k)
+        nb = [c - d for c, d in zip_longest(common, na, fillvalue=0)]
+        return a, _over_one_minus_l(nb, e)
+    if kind == 1:
+        k = rng.randint(1, 8)
+        nb = times_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs, k)
+        return a, _over_one_minus_l(nb, 0)
+    if kind == 2:
+        return a, _over_one_minus_l(rand_lpoly(rng, max_deg=4).coeffs, 0)
+    return a, _over_one_minus_l(rand_lpoly(rng, max_deg=4).coeffs, rng.randint(0, 8))
 
 
 def _pair(rng, i):
     # 67 pairs of a value and a nonzero constant (the constant factor
     # path), 67 over one denominator (the equal-denominator path: adding a
-    # polynomial keeps a reduced denominator) and 66 plain pairs
+    # polynomial keeps a reduced denominator) and 66 plain pairs; past
+    # those 200, pairs over powers of (1 - L) (the gcd-free path)
+    if i >= 200:
+        return _power_pair(rng, i)
     a = rand_lrat(rng, max_deg=3)
     if i % 3 == 0:
         return a, lrat(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)))
@@ -41,7 +76,7 @@ def _pair(rng, i):
 
 def test_field_operations_match_sympy():
     rng = random.Random(3017)
-    for i in range(200):
+    for i in range(320):
         a, b = _pair(rng, i)
         sa, sb = to_sympy(a), to_sympy(b)
         assert to_sympy(a + b) == sa + sb
