@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import frobenius, suite as suite_mod
-from .scalar import LAMBDA, LambdaPoly, LambdaRat, PoleError, lrat
+from .scalar import LAMBDA, ONE, PoleError, _render, lrat
 from .xpoly import X, XPoly
 
 
@@ -164,59 +164,32 @@ def parse_poly_expr(text: str) -> XPoly:
 # ---------------------------------------------------------------------------
 # LaTeX rendering
 
-def latex_fraction(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    sign = "-" if fr < 0 else ""
-    return f"{sign}\\frac{{{abs(fr.numerator)}}}{{{fr.denominator}}}"
-
-
-def latex_lpoly(p: LambdaPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = latex_fraction(mag)
-        else:
-            lam = "\\lambda" if k == 1 else f"\\lambda^{{{k}}}"
-            body = lam if mag == 1 else latex_fraction(mag) + lam
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
-
-
-def latex_lrat(v: LambdaRat) -> str:
+def latex_lrat(v) -> str:
+    """A value of Q(L), or a rational, in LaTeX."""
+    v = lrat(v)
+    num = _render(v.a, v.b, v.p, latex=True)
     if v.is_poly:
-        return latex_lpoly(v.num)
-    return f"\\frac{{{latex_lpoly(v.num)}}}{{{latex_lpoly(v.den)}}}"
+        return num
+    return f"\\frac{{{num}}}{{{_render(1, 1, v.q, latex=True)}}}"
 
 
 def latex_xpoly(p: XPoly) -> str:
-    if p.is_zero:
-        return "0"
     parts = []
     for k in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[k]
         if c.is_zero:
             continue
-        xpow = "" if k == 0 else ("x" if k == 1 else f"x^{{{k}}}")
         body = latex_lrat(c)
-        if xpow:
-            if c == 1:
+        if k:
+            xpow = "x" if k == 1 else f"x^{{{k}}}"
+            if c == ONE:
                 body = xpow
+            elif not c.is_poly or sum(1 for v in c.p if v) > 1:
+                body = f"\\left({body}\\right){xpow}"
             else:
-                if not c.is_poly or len([t for t in c.num.coeffs if t]) > 1:
-                    body = f"\\left({body}\\right){xpow}"
-                else:
-                    body = f"{body}\\,{xpow}"
+                body = f"{body}\\,{xpow}"
         parts.append(body)
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +256,12 @@ def _cells_csv(cells) -> str:
 def _cmd_numbers(args, seed: int) -> int:
     r = args.order
     values = frobenius.fe_numbers(args.n_max, r)
+    at = "(\\lambda)"
     if args.lam is not None:
-        shown = [str(v.evaluate(args.lam)) for v in values]
-        latex = [f"H_{{{n}}}^{{({r})}} = {latex_fraction(v.evaluate(args.lam))} \\\\"
-                 for n, v in enumerate(values)]
-    else:
-        shown = [str(v) for v in values]
-        latex = [f"H_{{{n}}}^{{({r})}}(\\lambda) = {latex_lrat(v)} \\\\"
-                 for n, v in enumerate(values)]
-    rows = [(n, s) for n, s in enumerate(shown)]
+        values = [v.evaluate(args.lam) for v in values]
+        at = ""
+    latex = [f"H_{{{n}}}^{{({r})}}{at} = {latex_lrat(v)} \\\\" for n, v in enumerate(values)]
+    rows = [(n, str(v)) for n, v in enumerate(values)]
     obj = {"order": r, "values": [{"n": n, "value": s} for n, s in rows]}
     sys.stdout.write(_emit_table(args, ("n", "value"), rows, latex, obj))
     return 0
@@ -316,16 +286,12 @@ def _cmd_convert(args, seed: int) -> int:
     coeffs = list(e.coefficients)
     if args.lam is not None:
         try:
-            values = [c.evaluate(args.lam) for c in coeffs]
+            coeffs = [c.evaluate(args.lam) for c in coeffs]
         except PoleError as exc:
             sys.stderr.write(f"error: a coefficient has a {exc}\n")
             return 2
-        shown = [str(v) for v in values]
-        latex = [f"C_{{{k}}} = {latex_fraction(v)} \\\\" for k, v in enumerate(values)]
-    else:
-        shown = [str(c) for c in coeffs]
-        latex = [f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs)]
-    rows = [(k, s) for k, s in enumerate(shown)]
+    latex = [f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs)]
+    rows = [(k, str(c)) for k, c in enumerate(coeffs)]
     obj = {"order": args.order, "poly": str(p),
            "coefficients": [{"k": k, "value": s} for k, s in rows]}
     sys.stdout.write(_emit_table(args, ("k", "value"), rows, latex, obj))
@@ -336,10 +302,7 @@ def _cmd_stirling(args, seed: int) -> int:
     v = frobenius.stirling_lambda(args.n, args.k)
     if args.lam is not None:
         v = v.evaluate(args.lam)
-        tex = latex_fraction(v)
-    else:
-        tex = latex_lrat(v)
-    latex = f"S_{{\\lambda}}({args.n},{args.k}) = {tex}"
+    latex = f"S_{{\\lambda}}({args.n},{args.k}) = {latex_lrat(v)}"
     sys.stdout.write(_emit_row(args, ("n", "k", "value"), (args.n, args.k, str(v)), latex))
     return 0
 

@@ -117,14 +117,11 @@ def j_lambda(p: XPoly, s: int = 1) -> XPoly:
 
 @lru_cache(maxsize=None)
 def _delta_coeffs(n: int, k: int) -> tuple:
-    # integer coefficients in L of sum_j C(k,j)(-L)^{k-j} j^n, with 0^0 = 1
-    out = [0] * (k + 1)
-    for j in range(k + 1):
-        base = j ** n if n else 1
-        if base:
-            m = k - j
-            out[m] += comb(k, j) * base * (-1 if m & 1 else 1)
-    return tuple(out)
+    # integer coefficients in L of sum_j C(k,j)(-L)^{k-j} j^n, with 0^0 = 1:
+    # the coefficient of L^m is C(k,m)(-1)^m (k-m)^n, the m-th entry of the
+    # row of (1 - L)^k times (k-m)^n
+    row = _one_minus_l_pow(k)
+    return tuple(row[m] * (k - m) ** n for m in range(k + 1))
 
 
 def delta_pow_at_zero(n: int, k: int) -> LambdaRat:

@@ -3,34 +3,37 @@
 Every value is kept in a canonical form so that equality of mathematical
 values coincides with structural (and textual) equality.
 
-* ``LambdaRat`` stores a value as ``c * p / q``: ``c`` is a nonzero
-  ``Fraction`` that carries the sign, and ``p`` and ``q`` are tuples of
-  ints, ascending, each primitive (content 1) with a positive lowest
-  nonzero coefficient.  gcd(p, q) = 1, ``q == (1,)`` exactly when the
-  value is a polynomial, and zero is ``0 * () / (1,)``.  Arithmetic reads
-  and writes this form directly: gcd, exact division and convolution run
-  on the int tuples, and only the content is a ``Fraction``.  The gcd is
+* ``LambdaRat`` stores a value as ``(a / b) * p / q``: ``a`` and ``b``
+  are coprime ints, ``b > 0``, and ``p`` and ``q`` are tuples of ints,
+  ascending, each primitive (content 1) with a positive lowest nonzero
+  coefficient.  gcd(p, q) = 1, ``q == (1,)`` exactly when the value is a
+  polynomial, and zero is ``(0 / 1) * () / (1,)``.  Arithmetic reads and
+  writes this form with ints only: gcd, exact division and convolution
+  on the tuples, ``math.gcd`` on the content.  The polynomial gcd is
   heuristic (GCDHEU: one big-integer gcd of the two polynomials' values
   at a point, checked by exact division), with the primitive
   pseudo-remainder sequence as its fallback.  Three cases skip it: a
   constant factor scales the content only; a sum over equal denominators
   adds the numerators and reduces against that one denominator; and when
   both denominators are powers of (1 - L), the denominators of every
-  Frobenius-Euler value, no gcd runs at all.  That path recognises
-  q = (1 - L)^e by its alternating binomial row (e = 0 counted, rows
-  memoized by e), lifts the numerator of the smaller exponent by
-  (1 - L)^(e_max - e) and adds, or multiplies the numerators and adds
-  the exponents, and then strips (1 - L) from the numerator while its
-  coefficients sum to zero, one synthetic division b_i = a_0 + ... + a_i
-  each.  By Gauss's lemma the quotient of a primitive polynomial by
-  (1 - L) is primitive with the same lowest coefficient, so the result
-  is canonical as it stands.
+  Frobenius-Euler value, no gcd runs at all.  That path recognises q =
+  (1 - L)^e by its alternating binomial row (e = 0 counted, rows memoized
+  by e), lifts the numerator of the smaller exponent by (1 - L)^(e_max -
+  e) and adds, or multiplies the numerators and adds the exponents, and
+  then strips (1 - L) from the numerator while its coefficients sum to
+  zero, one synthetic division b_i = a_0 + ... + a_i each.  By Gauss's
+  lemma the quotient of a primitive polynomial by (1 - L) is primitive
+  with the same lowest coefficient, so the result is canonical as it
+  stands.
 * ``LambdaPoly`` is the input and view type: ascending rational
-  coefficients with no trailing zero, so the zero polynomial is the empty
-  tuple.  ``LambdaRat(num, den)`` accepts it, and ``LambdaRat.num`` and
-  ``.den`` build it (the numerator ``c * p`` and the denominator ``q``)
-  where a value is printed or inspected.  It has no arithmetic of its
-  own; compute through ``LambdaRat`` and ``lrat``.
+  coefficients with no trailing zero.  ``LambdaRat(num, den)`` accepts
+  it, and ``LambdaRat.num`` and ``.den`` build it (``(a / b) * p`` and
+  ``q``) for inspection.  It has no arithmetic of its own.
+* One term walker, ``_render``, prints every polynomial in L from the
+  ints ``(a, b, p)``, plain or LaTeX: ``str`` of both types,
+  ``embed_str``, ``XPoly`` and the CLI's LaTeX.  Hashes come from ``(a,
+  b, p, q)``, a constant's as the rational it equals, so equal values of
+  the three types hash equal.
 """
 
 from __future__ import annotations
@@ -242,23 +245,35 @@ def _strip(p, e: int) -> tuple:
     return p, e
 
 
-def _combine(ca: Fraction, left, cb: Fraction, right) -> tuple:
-    """ca * left + cb * right as (content, primitive int list), with one
-    common integer denominator; zero is (0, [])."""
-    da, db = ca.denominator, cb.denominator
-    dd = da // gcd(da, db) * db
-    ua = ca.numerator * (dd // da)
-    ub = cb.numerator * (dd // db)
+def _cmul(a1: int, b1: int, a2: int, b2: int) -> tuple:
+    """(a1 / b1) * (a2 / b2) in lowest terms, from two reduced fractions."""
+    if b1 == b2 == 1:
+        return a1 * a2, 1
+    g = gcd(a1, b2)
+    h = gcd(a2, b1)
+    return (a1 // g) * (a2 // h), (b1 // h) * (b2 // g)
+
+
+def _combine(a1: int, b1: int, left, a2: int, b2: int, right) -> tuple:
+    """(a1 / b1) * left + (a2 / b2) * right as (a, b, primitive int list),
+    over one common integer denominator; zero is (0, 1, [])."""
+    d = b1
+    if b1 != b2:
+        g = gcd(b1, b2)
+        d = b1 // g * b2
+        a1 *= b2 // g
+        a2 *= b1 // g
     if len(left) < len(right):
-        left, right, ua, ub = right, left, ub, ua
-    acc = [ua * c for c in left]
+        left, right, a1, a2 = right, left, a2, a1
+    acc = [a1 * c for c in left]
     for i, c in enumerate(right):
-        acc[i] += ub * c
+        acc[i] += a2 * c
     _itrim(acc)
     if not acc:
-        return 0, acc
-    cn, pn = _iprim(acc)
-    return Fraction(cn, dd), pn
+        return 0, 1, acc
+    a, pn = _iprim(acc)
+    g = gcd(a, d)
+    return a // g, d // g, pn
 
 
 def _horner(coeffs, point) -> Fraction:
@@ -269,6 +284,42 @@ def _horner(coeffs, point) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * point + c
     return acc
+
+
+def _render(a: int, b: int, p, latex: bool = False) -> str:
+    """The polynomial (a / b) * p in L, ascending, as plain text or LaTeX.
+
+    Term k is the sign of a * p_k / b, its magnitude in lowest terms (in
+    LaTeX, none when it is 1 and k > 0) and then L^k.
+    """
+    parts = []
+    for k, v in enumerate(p):
+        if not v:
+            continue
+        n, d = a * v, b
+        if d != 1:
+            g = gcd(n, d)
+            n, d = n // g, d // g
+        neg, n = n < 0, abs(n)
+        if latex:
+            body = str(n) if d == 1 else f"\\frac{{{n}}}{{{d}}}"
+            if k:
+                lam = "\\lambda" if k == 1 else f"\\lambda^{{{k}}}"
+                body = lam if n == d == 1 else body + lam
+        else:
+            body = str(n) if d == 1 else f"{n}/{d}"
+            if k:
+                body += "*L" if k == 1 else f"*L^{k}"
+        sign = (" - " if neg else " + ") if parts else ("-" if neg else "")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+def _hash(a: int, b: int, p, q) -> int:
+    # a constant hashes like the rational it equals
+    if len(p) <= 1 and len(q) == 1:
+        return hash(Fraction(a, b))
+    return hash((a, b, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -315,90 +366,77 @@ class LambdaPoly:
         return NotImplemented
 
     def __hash__(self):
-        # constants must hash like the rational they equal
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
-        return hash(self.coeffs)
+        # the split form, so that the equal LambdaRat hashes alike
+        return _hash(*_split(self), (1,))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = -c if c < 0 else c
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = f"{mag}*L"
-            else:
-                body = f"{mag}*L^{k}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        return _render(*_split(self))
 
     def __repr__(self):
         return f"LambdaPoly({self})"
 
 
 def _split(value) -> tuple:
-    """(content, primitive int tuple) of a LambdaPoly, a rational or a
-    coefficient sequence; zero splits into (0, ())."""
+    """(a, b, primitive int tuple) of a LambdaPoly, a rational or a
+    coefficient sequence, whose content a / b is in lowest terms; zero
+    splits into (0, 1, ())."""
     if isinstance(value, (int, Fraction)):
         value = (value,)
     if not isinstance(value, LambdaPoly):
         value = LambdaPoly(value)
     if not value.coeffs:
-        return Fraction(0), ()
+        return 0, 1, ()
     den = 1
     for c in value.coeffs:
         d = c.denominator
         den = den // gcd(den, d) * d
+    # each prime of den misses some scaled numerator: g / den is reduced
     g, prim = _iprim([c.numerator * (den // c.denominator) for c in value.coeffs])
-    return Fraction(g, den), tuple(prim)
+    return g, den, tuple(prim)
 
 
 class LambdaRat:
     """Element of the rational-function field Q(L), always reduced.
 
-    Stored as content ``c`` times primitive int tuples ``p / q`` in the
-    canonical form of the module docstring, so two equal field elements
-    are structurally identical and print identically.
+    Stored as the content ``a / b`` times primitive int tuples ``p / q``
+    in the canonical form of the module docstring, so two equal field
+    elements are structurally identical and print identically.
     """
 
-    __slots__ = ("c", "p", "q")
+    __slots__ = ("a", "b", "p", "q")
 
     def __init__(self, num=0, den=1):
-        cn, p = _split(num)
-        cd, q = _split(den)
+        an, bn, p = _split(num)
+        ad, bd, q = _split(den)
         if not q:
             raise ZeroDivisionError("zero denominator in Q(L)")
         if not p:
-            self.c, self.p, self.q = Fraction(0), (), (1,)
+            self.a, self.b, self.p, self.q = 0, 1, (), (1,)
             return
         g = _igcd(p, q)
         if len(g) > 1:
             p = tuple(_iquo(p, g))
             q = tuple(_iquo(q, g))
-        self.c, self.p, self.q = cn / cd, p, q
+        a, b = _cmul(an, bn, bd, ad)
+        if b < 0:
+            a, b = -a, -b
+        self.a, self.b, self.p, self.q = a, b, p, q
 
     @classmethod
-    def _make(cls, c: Fraction, p: tuple, q: tuple) -> "LambdaRat":
-        # trusted: (c, p, q) already satisfy the canonical form
+    def _make(cls, a: int, b: int, p: tuple, q: tuple) -> "LambdaRat":
+        # trusted: (a, b, p, q) already satisfy the canonical form
         self = object.__new__(cls)
-        self.c = c
+        self.a = a
+        self.b = b
         self.p = p
         self.q = q
         return self
 
     @property
     def num(self) -> LambdaPoly:
-        """The numerator c * p, as a LambdaPoly view."""
-        c = self.c
-        return LambdaPoly._raw(tuple(c * v for v in self.p))
+        """The numerator (a / b) * p, as a LambdaPoly view."""
+        a, b = self.a, self.b
+        return LambdaPoly._raw(tuple(Fraction(a * v, b) for v in self.p))
 
     @property
     def den(self) -> LambdaPoly:
@@ -434,11 +472,11 @@ class LambdaRat:
                 pa = _lift(pa, eb - ea)
             elif eb < ea:
                 pb = _lift(pb, ea - eb)
-            c, pn = _combine(self.c, pa, other.c, pb)
+            a, b, pn = _combine(self.a, self.b, pa, other.a, other.b, pb)
             if not pn:
                 return ZERO
             pn, e = _strip(pn, max(ea, eb))
-            return LambdaRat._make(c, tuple(pn), _one_minus_l_pow(e))
+            return LambdaRat._make(a, b, tuple(pn), _one_minus_l_pow(e))
         if qa == qb:
             # equal denominators: the sum of the numerators over q
             g, qa2, qb2, left, right = qa, (1,), (1,), pa, pb
@@ -451,7 +489,7 @@ class LambdaRat:
                 qa2, qb2 = qa, qb
             left = _imul(pa, qb2)
             right = _imul(pb, qa2)
-        c, pn = _combine(self.c, left, other.c, right)
+        a, b, pn = _combine(self.a, self.b, left, other.a, other.b, right)
         if not pn:
             return ZERO
         # the only shared factors left can sit inside g
@@ -461,12 +499,12 @@ class LambdaRat:
                 pn = _iquo(pn, g2)
                 g = _iquo(g, g2)
         den = _imul(_imul(qa2, g), qb2)
-        return LambdaRat._make(c, tuple(pn), tuple(den))
+        return LambdaRat._make(a, b, tuple(pn), tuple(den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaRat._make(-self.c, self.p, self.q)
+        return LambdaRat._make(-self.a, self.b, self.p, self.q)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -484,17 +522,20 @@ class LambdaRat:
         if not self.p or not other.p:
             return ZERO
         pa, qa, pb, qb = self.p, self.q, other.p, other.q
+        # the content of a product of primitive polynomials is the
+        # product of the contents (Gauss's lemma)
+        a, b = _cmul(self.a, self.b, other.a, other.b)
         # a constant factor scales the content only
         if pa == qa == (1,):
-            return LambdaRat._make(self.c * other.c, pb, qb)
+            return LambdaRat._make(a, b, pb, qb)
         if pb == qb == (1,):
-            return LambdaRat._make(self.c * other.c, pa, qa)
+            return LambdaRat._make(a, b, pa, qa)
         ea = _exponent(qa)
         eb = _exponent(qb) if ea is not None else None
         if eb is not None:
             # over (1 - L)^ea and (1 - L)^eb: the exponents add
             pn, e = _strip(_imul(pa, pb), ea + eb)
-            return LambdaRat._make(self.c * other.c, tuple(pn), _one_minus_l_pow(e))
+            return LambdaRat._make(a, b, tuple(pn), _one_minus_l_pow(e))
         g1 = _igcd(pa, qb)
         if len(g1) > 1:
             pa = _iquo(pa, g1)
@@ -503,14 +544,15 @@ class LambdaRat:
         if len(g2) > 1:
             pb = _iquo(pb, g2)
             qa = _iquo(qa, g2)
-        return LambdaRat._make(self.c * other.c, tuple(_imul(pa, pb)), tuple(_imul(qa, qb)))
+        return LambdaRat._make(a, b, tuple(_imul(pa, pb)), tuple(_imul(qa, qb)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LambdaRat":
         if not self.p:
             raise ZeroDivisionError("inverse of zero in Q(L)")
-        return LambdaRat._make(1 / self.c, self.q, self.p)
+        a, b = (self.a, self.b) if self.a > 0 else (-self.a, -self.b)
+        return LambdaRat._make(b, a, self.q, self.p)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -528,41 +570,39 @@ class LambdaRat:
             return self.inverse() ** (-n)
         if not self.p:
             return ZERO
-        return LambdaRat._make(self.c ** n, tuple(_ipow(self.p, n)), tuple(_ipow(self.q, n)))
+        return LambdaRat._make(self.a ** n, self.b ** n,
+                               tuple(_ipow(self.p, n)), tuple(_ipow(self.q, n)))
 
     def evaluate(self, point) -> Fraction:
         """Value at a rational point of L; raises PoleError at a pole."""
         d = _horner(self.q, point)
         if not d:
             raise PoleError(f"pole at L = {point}")
-        return self.c * _horner(self.p, point) / d
+        return Fraction(self.a, self.b) * _horner(self.p, point) / d
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return self.c == other.c and self.p == other.p and self.q == other.q
+        return self.a == other.a and self.b == other.b and self.p == other.p and self.q == other.q
 
     def __hash__(self):
-        # a polynomial hashes like the LambdaPoly it equals, a constant
-        # like the rational it equals
-        if len(self.q) == 1:
-            return hash(self.num)
-        return hash((self.num.coeffs, self.q))
+        return _hash(self.a, self.b, self.p, self.q)
 
     def __str__(self):
+        num = _render(self.a, self.b, self.p)
         if len(self.q) == 1:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+            return num
+        return f"({num}) / ({_render(1, 1, self.q)})"
 
     def embed_str(self) -> str:
         """Compact rendering for use inside a larger expression."""
-        num = str(self.num)
+        num = _render(self.a, self.b, self.p)
         if len(self.q) == 1:
             return num
         if sum(1 for v in self.p if v) == 1:
-            return f"{num}/({self.den})"
-        return f"({num})/({self.den})"
+            return f"{num}/({_render(1, 1, self.q)})"
+        return f"({num})/({_render(1, 1, self.q)})"
 
     def __repr__(self):
         return f"LambdaRat({self})"
@@ -571,13 +611,10 @@ class LambdaRat:
 def _coerce(value):
     if isinstance(value, LambdaRat):
         return value
-    if isinstance(value, Fraction):
-        return LambdaRat._make(value, (1,), (1,)) if value else ZERO
-    if isinstance(value, int):
-        return LambdaRat._make(Fraction(value), (1,), (1,)) if value else ZERO
+    if isinstance(value, (int, Fraction)):
+        return LambdaRat._make(value.numerator, value.denominator, (1,), (1,)) if value else ZERO
     if isinstance(value, LambdaPoly):
-        c, p = _split(value)
-        return LambdaRat._make(c, p, (1,))
+        return LambdaRat._make(*_split(value), (1,))
     return NotImplemented
 
 
@@ -589,6 +626,6 @@ def lrat(value) -> LambdaRat:
     return out
 
 
-ZERO = LambdaRat._make(Fraction(0), (), (1,))
-ONE = LambdaRat._make(Fraction(1), (1,), (1,))
-LAMBDA = LambdaRat._make(Fraction(1), (0, 1), (1,))
+ZERO = LambdaRat._make(0, 1, (), (1,))
+ONE = LambdaRat._make(1, 1, (1,), (1,))
+LAMBDA = LambdaRat._make(1, 1, (0, 1), (1,))

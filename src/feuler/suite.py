@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -349,6 +348,8 @@ def run_suite(n_max: int = 10, r_max: int = 4, s_max: int = 4,
     """
     tasks = _plan(n_max, r_max, s_max, seed)
     if jobs > 1:
+        # imported here so that `import feuler` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             cells = list(ex.map(_eval_task, tasks, chunksize=32))
     else:

@@ -208,18 +208,16 @@ class XPoly:
         return hash(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
             if c.is_zero:
                 continue
-            if c.is_poly and c.num.degree <= 0 and c.num.coeffs[0] > 0:
-                parts.append(f"{c.num.coeffs[0]}*x^{k}")
-            else:
-                parts.append(f"({c.embed_str()})*x^{k}")
-        return " + ".join(parts)
+            body = c.embed_str()
+            if c.p != (1,) or c.q != (1,) or c.a < 0:  # not a positive constant
+                body = f"({body})"
+            parts.append(f"{body}*x^{k}")
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"XPoly({self})"

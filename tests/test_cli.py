@@ -436,6 +436,16 @@ def test_module_entry_subprocess():
     assert proc.returncode == 2
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # only suite --jobs > 1 needs a process pool, so it is imported there
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, feuler; "
+         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_numbers_of_a_high_order():
     proc = subprocess.run(
         [sys.executable, "-m", "feuler", "numbers", "--order", "1200"],

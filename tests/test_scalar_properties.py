@@ -14,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from feuler import scalar  # noqa: E402
+from feuler.cli import latex_lrat, latex_xpoly  # noqa: E402
 from feuler.scalar import (  # noqa: E402
-    LambdaPoly, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, lrat)
+    LAMBDA, ONE, LambdaPoly, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, lrat)
 from feuler.xpoly import XPoly  # noqa: E402
 from genutil import times_one_minus_l  # noqa: E402
 
@@ -95,6 +96,8 @@ def test_shift_there_and_back_restores(p, y):
 
 
 def check_canonical(v):
+    # the content a / b is in lowest terms with b > 0
+    assert v.b > 0 and gcd(v.a, v.b) == 1
     den = v.den.coeffs
     assert all(c.denominator == 1 for c in den)
     g = 0
@@ -143,6 +146,16 @@ def test_polynomials_and_constants_hash_like_their_plain_types(p, b, f, a):
     assert w == f and w == lrat(f)
     assert hash(w) == hash(f) == hash(LambdaPoly([f]))
     assert {f: "found"}[w] == "found"
+    # an XPoly constant and a LambdaPoly with rational content find the
+    # dict entry of the LambdaRat they equal, and the other way round
+    const = XPoly.const(w)
+    assert const == w and hash(const) == hash(w)
+    assert {w: "found"}[const] == "found" and {const: "found"}[w] == "found"
+    scaled = LambdaPoly([c * f for c in p.coeffs])
+    u = lrat(p) * f
+    assert scaled == u and hash(scaled) == hash(u)
+    assert {u: "found"}[scaled] == "found" and {scaled: "found"}[u] == "found"
+    assert {XPoly.const(u): "found"}[u] == "found"
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -163,3 +176,155 @@ def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
     # no candidate is accepted, so after six points the PRS decides
     monkeypatch.setattr(scalar, "_iquo", lambda a, b: None)
     assert list(scalar._igcd((2, 3, 1), (3, 4, 1))) == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# The printers against a reference that walks the Fraction coefficients of
+# the .num/.den views, as the plain and LaTeX printers once did.
+
+def ref_lpoly_str(p: LambdaPoly) -> str:
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = str(mag)
+        elif k == 1:
+            body = f"{mag}*L"
+        else:
+            body = f"{mag}*L^{k}"
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+    return "".join(parts)
+
+
+def ref_str(v: LambdaRat) -> str:
+    if v.is_poly:
+        return ref_lpoly_str(v.num)
+    return f"({ref_lpoly_str(v.num)}) / ({ref_lpoly_str(v.den)})"
+
+
+def ref_embed_str(v: LambdaRat) -> str:
+    num = ref_lpoly_str(v.num)
+    if v.is_poly:
+        return num
+    if sum(1 for c in v.num.coeffs if c) == 1:
+        return f"{num}/({ref_lpoly_str(v.den)})"
+    return f"({num})/({ref_lpoly_str(v.den)})"
+
+
+def ref_xpoly_str(p: XPoly) -> str:
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c.is_zero:
+            continue
+        if c.is_poly and c.num.degree <= 0 and c.num.coeffs[0] > 0:
+            parts.append(f"{c.num.coeffs[0]}*x^{k}")
+        else:
+            parts.append(f"({ref_embed_str(c)})*x^{k}")
+    return " + ".join(parts)
+
+
+def ref_latex_fraction(fr: Fraction) -> str:
+    if fr.denominator == 1:
+        return str(fr.numerator)
+    sign = "-" if fr < 0 else ""
+    return f"{sign}\\frac{{{abs(fr.numerator)}}}{{{fr.denominator}}}"
+
+
+def ref_latex_lpoly(p: LambdaPoly) -> str:
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = ref_latex_fraction(mag)
+        else:
+            lam = "\\lambda" if k == 1 else f"\\lambda^{{{k}}}"
+            body = lam if mag == 1 else ref_latex_fraction(mag) + lam
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
+
+
+def ref_latex_lrat(v: LambdaRat) -> str:
+    if v.is_poly:
+        return ref_latex_lpoly(v.num)
+    return f"\\frac{{{ref_latex_lpoly(v.num)}}}{{{ref_latex_lpoly(v.den)}}}"
+
+
+def ref_latex_xpoly(p: XPoly) -> str:
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c.is_zero:
+            continue
+        xpow = "" if k == 0 else ("x" if k == 1 else f"x^{{{k}}}")
+        body = ref_latex_lrat(c)
+        if xpow:
+            if c == 1:
+                body = xpow
+            else:
+                if not c.is_poly or len([t for t in c.num.coeffs if t]) > 1:
+                    body = f"\\left({body}\\right){xpow}"
+                else:
+                    body = f"{body}\\,{xpow}"
+        parts.append(body)
+    return " + ".join(parts)
+
+
+# units and their negatives, scaled by contents with denominators, over
+# general and (1 - L)^e denominators
+units = st.sampled_from([ONE, -ONE, LAMBDA, -LAMBDA, LAMBDA ** 3, ONE - LAMBDA])
+printed = st.builds(lambda v, f: v * f, st.one_of(lrats, power_lrats, units),
+                    st.sampled_from([1, 1, -1, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 5)]))
+printed_xpolys = st.lists(printed, max_size=4).map(XPoly)
+
+
+def check_printed(v: LambdaRat):
+    assert str(v) == ref_str(v)
+    assert v.embed_str() == ref_embed_str(v)
+    assert str(v.num) == ref_lpoly_str(v.num)
+    assert latex_lrat(v) == ref_latex_lrat(v)
+
+
+@seeded
+@given(printed)
+def test_scalars_print_like_the_fraction_reference(v):
+    check_printed(v)
+
+
+@seeded
+@given(power_lrats, power_lrats)
+def test_results_over_powers_of_one_minus_l_print_like_the_reference(a, b):
+    for v in (a + b, a * b, a - b):
+        check_printed(v)
+
+
+@seeded
+@given(printed_xpolys)
+def test_xpolys_print_like_the_fraction_reference(p):
+    assert str(p) == ref_xpoly_str(p)
+    assert latex_xpoly(p) == ref_latex_xpoly(p)
+
+
+@seeded
+@given(coeffs)
+def test_rationals_print_like_the_fraction_reference(f):
+    assert latex_lrat(f) == ref_latex_fraction(f)
+    assert str(lrat(f)) == str(f)
