@@ -1,18 +1,17 @@
 """Frobenius-Euler numbers and polynomials of any integer order.
 
 H_n^{(r)}(x|L) is the Appell sequence attached to the invertible series
-g(t) = ((e^t - L)/(1 - L))^r over Q(L).  Order-1 numbers come from the
-recurrence forced by (e^t - L) * sum H_n t^n/n! = 1 - L; an order r > 1
-row is the binomial convolution of the rows of orders r // 2 and
-r - r // 2, so building it recurses only log2(r) deep; negative orders
-fall out of the order-lowering operator J: p(x) -> (p(x+1) - L p(x))/(1 - L),
-whose powers connect the polynomials to the L-analogue of the Stirling
-numbers of the second kind.
+g(t) = ((e^t - L)/(1 - L))^r over Q(L).  The numbers of every integer
+order come from one integer recurrence for their numerators over
+(1 - L)^n, Carlitz's Eulerian recurrence at order 1 (see ``_row``), with
+no arithmetic in Q(L).  The order-lowering operator J: p(x) -> (p(x+1) -
+L p(x))/(1 - L) steps between orders, and its powers connect the
+polynomials to the L-analogue of the Stirling numbers of the second kind.
 
 Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, scalar's
 memo of the rows of (1 - L)^e among them, except the rows of numbers,
-which live in ``_ROWS`` (order -> row) and are extended on demand;
-``clear_caches()`` empties all of them.
+which live in ``_ROWS`` (order -> the row and its last numerator) and are
+extended on demand; ``clear_caches()`` empties all of them.
 """
 
 from __future__ import annotations
@@ -22,49 +21,42 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, _one_minus_l_pow, lrat
+from .scalar import (LAMBDA, ONE, ZERO, LambdaRat, _iprim, _itrim, _one_minus_l_pow, _strip,
+                     lrat)
 from .umbral import TruncSeries
 from .xpoly import XPoly
 
-_ONE_MINUS_L = ONE - LAMBDA
-_INV = _ONE_MINUS_L.inverse()
-_L_MINUS_ONE_INV = (LAMBDA - ONE).inverse()
+_INV = (ONE - LAMBDA).inverse()
 
 _ROWS = {}
 
 
 def _row(r: int, n_max: int) -> list:
-    """The cached row H_0^{(r)}(L), H_1^{(r)}(L), ..., extended to n_max."""
-    row = _ROWS.setdefault(r, [])
+    """The cached row H_0^{(r)}(L), H_1^{(r)}(L), ..., extended to n_max.
+
+    G = ((1 - L)/(e^t - L))^r, the generating function of the row,
+    satisfies dG/dt = -r G/(1 - L) - L dG/dL, so the integer polynomials
+    N_n = (1 - L)^n H_n^{(r)} follow N_0 = 1 and
+    N_n = -(r + (n - 1)L) N_{n-1} - L(1 - L) N_{n-1}', that is
+    c_k = -(r + k) a_k + (k - n) a_{k-1} with a = N_{n-1}.  At r = 1,
+    (-1)^n N_n is the Eulerian polynomial A_n.  Each entry is N_n over
+    (1 - L)^n with the common factors (1 - L) stripped: the numerator is
+    then prime to the denominator and the value canonical.  _ROWS[r]
+    holds the row and the last numerator, from which it is extended.
+    """
+    row, num = _ROWS.setdefault(r, ([ONE], [1]))
     if len(row) > n_max:
         return row
-    if r == 0:
-        if not row:
-            row.append(lrat(1))
-        row.extend([ZERO] * (n_max + 1 - len(row)))
-    elif r == 1:
-        if not row:
-            row.append(lrat(1))
-        for n in range(len(row), n_max + 1):
-            acc = ZERO
-            for k in range(n):
-                acc = acc + comb(n, k) * row[k]
-            row.append(acc * _L_MINUS_ONE_INV)
-    elif r > 1:
-        left, right = _row(r // 2, n_max), _row(r - r // 2, n_max)
-        for n in range(len(row), n_max + 1):
-            acc = ZERO
-            for i in range(n + 1):
-                a = left[i]
-                b = right[n - i]
-                if not a.is_zero and not b.is_zero:
-                    acc = acc + comb(n, i) * a * b
-            row.append(acc)
-    else:
-        s = -r
-        scale = _INV ** s
-        for n in range(len(row), n_max + 1):
-            row.append(delta_pow_at_zero(n, s) * scale)
+    for n in range(len(row), n_max + 1):
+        num = _itrim([(k - n) * b - (r + k) * a
+                      for k, (a, b) in enumerate(zip(num + [0], [0] + num))])
+        if not num:
+            row.append(ZERO)
+            continue
+        p, e = _strip(num, n)
+        a, p = _iprim(p)
+        row.append(LambdaRat._make(a, 1, tuple(p), _one_minus_l_pow(e)))
+    _ROWS[r] = (row, num)
     return row
 
 
@@ -84,7 +76,9 @@ def fe_numbers(n_max: int, r: int = 1) -> list:
 def fe_poly(n: int, r: int = 1) -> XPoly:
     """The monic degree-n polynomial H_n^{(r)}(x|L)."""
     row = _row(r, n)
-    return XPoly([comb(n, l) * row[n - l] for l in range(n + 1)])
+    # row entries have integer content (b == 1), which C(n, l) scales
+    return XPoly([LambdaRat._make(comb(n, l) * h.a, 1, h.p, h.q)
+                  for l, h in enumerate(reversed(row[:n + 1]))])
 
 
 def fe_series(r: int, trunc: int) -> TruncSeries:
@@ -119,14 +113,19 @@ def j_lambda(p: XPoly, s: int = 1) -> XPoly:
 def _delta_coeffs(n: int, k: int) -> tuple:
     # integer coefficients in L of sum_j C(k,j)(-L)^{k-j} j^n, with 0^0 = 1:
     # the coefficient of L^m is C(k,m)(-1)^m (k-m)^n, the m-th entry of the
-    # row of (1 - L)^k times (k-m)^n
+    # row of (1 - L)^k times (k-m)^n; the last, 0^n, is zero for n > 0 and
+    # left out, so the tuple ends in a nonzero coefficient
     row = _one_minus_l_pow(k)
-    return tuple(row[m] * (k - m) ** n for m in range(k + 1))
+    return tuple(row[m] * (k - m) ** n for m in range(k + 1 if n == 0 else k))
 
 
 def delta_pow_at_zero(n: int, k: int) -> LambdaRat:
     """k-th power of the difference p(x) -> p(x+1) - L p(x), on x^n, at 0."""
-    return lrat(LambdaPoly(_delta_coeffs(n, k)))
+    c = _delta_coeffs(n, k)
+    if not c:
+        return ZERO
+    a, p = _iprim(c)
+    return LambdaRat._make(a, 1, tuple(p), (1,))
 
 
 def stirling_lambda(n: int, k: int) -> LambdaRat:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -213,8 +213,16 @@ def _ipow(a, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _one_minus_l_pow(e: int) -> tuple:
-    """(1 - L)^e as its int tuple, the alternating binomial row."""
-    return tuple(-comb(e, k) if k & 1 else comb(e, k) for k in range(e + 1))
+    """(1 - L)^e as its int tuple, the alternating binomial row.
+
+    Built by c_(k+1) = -c_k (e - k)/(k + 1), exact at every step: one
+    product and one division per entry, where ``math.comb(e, k)`` costs
+    O(k).
+    """
+    row = [1]
+    for k in range(e):
+        row.append(-row[k] * (e - k) // (k + 1))
+    return tuple(row)
 
 
 def _exponent(q):

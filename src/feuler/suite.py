@@ -1,9 +1,9 @@
 """Exact verification cells for the order-lowering identity family.
 
 Each cell pits two independently computed canonical strings against each
-other: the left side comes from the recurrence/convolution tables, the
-right side from the identity under test, evaluated literally with its
-stated summation bounds.  A report is a deterministically ordered list
+other: the left side comes from the recurrence tables, the right side
+from the identity under test, evaluated literally with its stated
+summation bounds.  A report is a deterministically ordered list
 of cells plus a summary; serialized reports from a serial run and a
 parallel run are byte-identical because cell timings are normalized to
 zero at the report level.
@@ -12,10 +12,10 @@ zero at the report level.
 ``verify_<id>`` function and the grid a report runs it over.  Both
 ``run_suite`` and ``feuler verify`` read it.
 
-Routes of the two sides.  "Table" is a row of ``frobenius``: order 1 by
-its recurrence, order r > 1 by convolution of the rows r // 2 and
-r - r // 2, order r < 0 by the closed form ``delta_pow_at_zero``.
-"Weights" are ``lowering_coeff``, built on the surjection recurrence.
+Routes of the two sides.  "Table" is a row of ``frobenius``, every order
+by one integer recurrence for the numerators over (1 - L)^n.  "Weights"
+are ``lowering_coeff``, built on the surjection recurrence.  "Stirling
+closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
 
     thm2            table of order r - s | weights times order-r tables
     cor3            order-1 table        | weights times order-r tables

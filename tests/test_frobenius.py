@@ -2,13 +2,15 @@
 
 Every nontrivial value is checked against a second derivation that does
 not share code with the implementation: series reciprocals, literal
-multinomial sums, operator iteration, and a plain-Fraction Euler
-polynomial recurrence.
+multinomial sums, operator iteration, a plain-Fraction Euler polynomial
+recurrence, and three routes to the numbers in Q(L) arithmetic: the
+order-1 generating-function recurrence, the binomial convolution of rows
+of lower order, and the closed form of negative orders.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 
 import pytest
@@ -86,6 +88,40 @@ def one_step_j(p):
     return (p.shift(1) - L * p) * ONE_MINUS.inverse()
 
 
+def order_one_row(n_max):
+    """Order-1 numbers from (e^t - L) * sum H_n t^n/n! = 1 - L, in Q(L):
+    H_n = sum_{k<n} C(n,k) H_k / (L - 1)."""
+    inv = (L - ONE).inverse()
+    row = [ONE]
+    for n in range(1, n_max + 1):
+        acc = ZERO
+        for k in range(n):
+            acc = acc + comb(n, k) * row[k]
+        row.append(acc * inv)
+    return row
+
+
+def halving_row(r, n_max, rows):
+    """Order-r numbers, r >= 1, as the binomial convolution of the rows of
+    orders r // 2 and r - r // 2; rows maps orders to rows already built
+    and holds the order-1 row."""
+    if r not in rows:
+        left, right = halving_row(r // 2, n_max, rows), halving_row(r - r // 2, n_max, rows)
+        rows[r] = [sum((comb(n, i) * left[i] * right[n - i] for i in range(n + 1)), ZERO)
+                   for n in range(n_max + 1)]
+    return rows[r]
+
+
+def one_minus_l_valuation(c):
+    """Largest v with (1 - L)^v dividing the nonzero int sequence c."""
+    v = 0
+    while not sum(c):
+        # c = (1 - L) q gives c_i = q_i - q_(i-1), so q_i = c_0 + ... + c_i
+        c = list(accumulate(c))[:-1]
+        v += 1
+    return v
+
+
 # ---------------------------------------------------------------------------
 
 def test_first_numbers_frozen():
@@ -111,10 +147,61 @@ def test_numbers_match_series_reciprocal():
 
 
 def test_high_order_numbers_match_series_powering():
-    # rows of order r > 1 are built from orders r // 2 and r - r // 2;
-    # the series side powers g(t) by repeated squaring instead
+    # the series side powers g(t) by repeated squaring
     for r in (4, 5, 7, 1200):
         assert tuple(fe_numbers(10, r)) == fe_series(-r, 10).coeffs, f"order {r}"
+
+
+def test_numbers_match_series_powering_for_orders_up_to_60():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(st.integers(-60, 60), st.integers(0, 20))
+    def check(r, n):
+        assert tuple(fe_numbers(n, r)) == fe_series(-r, n).coeffs
+
+    check()
+
+
+def test_order_one_numbers_match_generating_function_recurrence():
+    assert fe_numbers(60, 1) == order_one_row(60)
+
+
+def test_numbers_match_halving_convolution():
+    rows = {1: order_one_row(16)}
+    for r in (2, 3, 4, 5, 7, 1200):
+        assert fe_numbers(16, r) == halving_row(r, 16, rows), r
+
+
+def test_negative_orders_match_closed_form():
+    # H_n^{(-s)}(L) = (1 - L)^{-s} (E - L)^s x^n at x = 0
+    for s in (1, 2, 3, 4, 5, 6, 7, 400, 1200):
+        scale = ONE_MINUS.inverse() ** s
+        assert fe_numbers(10, -s) == [delta_pow_at_zero(n, s) * scale for n in range(11)], s
+
+
+def test_closed_form_numerator_valuation_at_one():
+    # (E - L)^s = ((E - 1) + (1 - L))^s and (E - 1)^m x^n at 0 is m! S(n, m),
+    # nonzero for 1 <= m <= n: the lowest power of (1 - L) left is
+    # (1 - L)^(s - min(s, n)); at s = 0 the value is 0^n
+    for n in range(41):
+        assert frobenius._delta_coeffs(n, 0) == ((1,) if n == 0 else ())
+        for s in range(1, 41):
+            assert one_minus_l_valuation(frobenius._delta_coeffs(n, s)) == max(s - n, 0), (n, s)
+
+
+def test_tables_make_no_arithmetic_in_q_l(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("arithmetic in Q(L)")
+
+    # cold, so that every row is built under the patch
+    frobenius.clear_caches()
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LambdaRat, name, refuse)
+    fe_numbers(30, 1)
+    fe_numbers(12, -20)
+    fe_poly(16, 4)
 
 
 def test_numbers_match_literal_multinomial_convolution():

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from feuler import scalar
 from feuler.scalar import (
     LAMBDA,
     NEG_INF,
@@ -182,3 +184,9 @@ def test_poly_degree_and_str():
     assert str(LambdaPoly([1, -2, 1])) == "1 - 2*L + 1*L^2"
     assert str(LambdaPoly([0, Fraction(-1, 2)])) == "-1/2*L"
     assert str(LambdaPoly([Fraction(3, 2), 0, 0, 2])) == "3/2 + 2*L^3"
+
+
+def test_one_minus_l_rows_are_alternating_binomials():
+    for e in range(201):
+        want = tuple(-comb(e, k) if k & 1 else comb(e, k) for k in range(e + 1))
+        assert scalar._one_minus_l_pow(e) == want, e
