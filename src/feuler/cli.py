@@ -16,9 +16,7 @@ back to an equal value.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -219,6 +217,8 @@ _NATURAL = _at_least(0)
 
 
 def _csv_text(header, rows) -> str:
+    # imported here so that only CSV output loads csv
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -233,23 +233,19 @@ def _emit_table(args, header, rows, latex_lines, json_obj) -> str:
         return _csv_text(header, rows)
     if args.format == "latex":
         return "\n".join(latex_lines) + "\n"
-    return json.dumps(json_obj) + "\n"
+    return suite_mod._json_text(json_obj) + "\n"
 
 
 def _emit_row(args, header, row, latex) -> str:
     """One value with its arguments: plain prints the value alone."""
     if args.format == "plain":
         return f"{row[-1]}\n"
-    if args.format == "csv":
-        return _csv_text(header, [row])
-    if args.format == "latex":
-        return latex + "\n"
-    return json.dumps(dict(zip(header, row))) + "\n"
+    return _emit_table(args, header, [row], [latex], dict(zip(header, row)))
 
 
 def _cells_csv(cells) -> str:
     return _csv_text(("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
-                     [(c.identity, json.dumps(c.params, sort_keys=True), c.status,
+                     [(c.identity, suite_mod._json_text(c.params, sort_keys=True), c.status,
                        c.lhs, c.rhs, c.elapsed_us) for c in cells])
 
 

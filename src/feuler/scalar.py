@@ -86,6 +86,8 @@ def _iprim(a) -> tuple:
             break
     if g == 1:
         return 1, a
+    if g == -1:
+        return -1, [-v for v in a]
     return g, [v // g for v in a]
 
 

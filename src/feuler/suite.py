@@ -32,10 +32,8 @@ closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -73,20 +71,38 @@ IDENTITY_IDS = tuple(IDENTITIES)
 _ONE_MINUS = ONE - LAMBDA
 
 
-@dataclass
+def _json_text(obj, **options) -> str:
+    # imported here so that plain and LaTeX output do not load json
+    import json
+    return json.dumps(obj, **options)
+
+
 class Cell:
     """One identity instance: status is equal iff lhs == rhs byte-wise."""
 
-    identity: str
-    params: dict
-    status: str
-    lhs: str
-    rhs: str
-    elapsed_us: int = 0
+    __slots__ = ("identity", "params", "status", "lhs", "rhs", "elapsed_us")
+
+    def __init__(self, identity: str, params: dict, status: str, lhs: str, rhs: str,
+                 elapsed_us: int = 0):
+        self.identity = identity
+        self.params = params
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+        self.elapsed_us = elapsed_us
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Cell({fields})"
 
     def to_json(self) -> str:
         """One report line: fixed key order, parameters sorted by name."""
-        return json.dumps({
+        return _json_text({
             "identity": self.identity,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "status": self.status,
@@ -266,12 +282,20 @@ def _tally(cells) -> dict:
     return out
 
 
-@dataclass
 class VerificationReport:
     """Deterministically ordered cells plus the grid they were run on."""
 
-    cells: list
-    grid: dict
+    def __init__(self, cells: list, grid: dict):
+        self.cells = cells
+        self.grid = grid
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cells, self.grid) == (other.cells, other.grid)
+
+    def __repr__(self):
+        return f"VerificationReport(cells={self.cells!r}, grid={self.grid!r})"
 
     def totals(self) -> dict:
         return _tally(self.cells)
@@ -291,11 +315,13 @@ class VerificationReport:
         lines = [c.to_json() for c in self.cells]
         summary = dict(self.totals())
         summary["grid"] = {k: self.grid[k] for k in sorted(self.grid)}
-        lines.append(json.dumps(summary))
+        lines.append(_json_text(summary))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "VerificationReport":
+        # imported here, as in _json_text, so that `import feuler` does not load json
+        import json
         cells = []
         summary = None
         for line in text.splitlines():
@@ -354,6 +380,7 @@ def run_suite(n_max: int = 10, r_max: int = 4, s_max: int = 4,
             cells = list(ex.map(_eval_task, tasks, chunksize=32))
     else:
         cells = [_eval_task(t) for t in tasks]
-    cells = [replace(c, elapsed_us=0) for c in cells]
+    for c in cells:
+        c.elapsed_us = 0
     grid = {"n_max": n_max, "r_max": r_max, "s_max": s_max}
     return VerificationReport(cells=cells, grid=grid)

@@ -436,14 +436,26 @@ def test_module_entry_subprocess():
     assert proc.returncode == 2
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # only suite --jobs > 1 needs a process pool, so it is imported there
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, feuler; "
-         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"],
-        capture_output=True, text=True)
+def _imported(*argv) -> set:
+    """Names of the modules a fresh interpreter imports while running argv."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only suite --jobs > 1 needs a process pool and only JSON or CSV output
+    # needs json or csv, so each is imported there; dataclasses, with the
+    # inspect it loads, is used nowhere.  Whatever the bare interpreter
+    # already imports (a site hook, say) is not feuler's doing.
+    deferred = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "json", "csv"}
+    bare = _imported("-c", "pass")
+    for argv in (("-c", "import feuler"), ("-m", "feuler", "numbers", "--n-max", "3")):
+        loaded = _imported(*argv) - bare
+        assert "feuler.cli" in loaded, argv
+        assert sorted(loaded & deferred) == [], argv
 
 
 def test_numbers_of_a_high_order():
@@ -457,8 +469,8 @@ def test_numbers_of_a_high_order():
 
 
 def test_numbers_of_a_large_negative_order():
-    # the closed form divides degree-1200 numerators by (1 - L)^1200;
-    # reduced by the general gcd, that takes minutes
+    # a guard on the timeout: this took minutes while the rows of negative
+    # orders were reduced against (1 - L)^1200 by the general gcd
     proc = subprocess.run(
         [sys.executable, "-m", "feuler", "numbers", "--n-max", "10", "--order", "-1200"],
         capture_output=True, text=True, timeout=120)

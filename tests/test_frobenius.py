@@ -8,6 +8,7 @@ order-1 generating-function recurrence, the binomial convolution of rows
 of lower order, and the closed form of negative orders.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -374,6 +375,23 @@ def test_basis_matches_functional_route():
         direct = to_fe_basis(p, r).coefficients
         dual = appell_expand(fe_series(r, max(p.degree, 0)), p)
         assert list(direct) == dual
+
+
+def test_basis_expansion_is_an_immutable_value():
+    def expand():
+        return to_fe_basis(X ** 3 - XPoly.const(LAMBDA) * X, 2)
+
+    e, again = expand(), expand()
+    assert e is not again
+    assert e == again and hash(e) == hash(again)
+    assert {e: "found"}[again] == "found"
+    assert e == BasisExpansion(2, e.coefficients)
+    assert e != BasisExpansion(3, e.coefficients)
+    assert list(e) == list(e.coefficients)
+    with pytest.raises(AttributeError):
+        e.order = 3
+    assert e.order == 2
+    assert pickle.loads(pickle.dumps(e)) == e
 
 
 def test_zero_polynomial_expansion():

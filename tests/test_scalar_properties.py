@@ -178,6 +178,19 @@ def test_heuristic_gcd_falls_back_to_prs(monkeypatch):
     assert list(scalar._igcd((2, 3, 1), (3, 4, 1))) == [1, 1]
 
 
+@seeded
+@given(int_polys, st.integers(1, 6))
+def test_negative_content_splits_like_floor_division(a, k):
+    # a negative lowest term puts a negative content, -1 included (mostly at
+    # k = 1), into _iprim's result; it must equal dividing by the content
+    sign = -1 if next(v for v in a if v) > 0 else 1
+    a = [sign * k * v for v in a]
+    g = 0
+    for v in a:
+        g = gcd(g, v)
+    assert _iprim(a) == (-g, [v // -g for v in a])
+
+
 # ---------------------------------------------------------------------------
 # The printers against a reference that walks the Fraction coefficients of
 # the .num/.den views, as the plain and LaTeX printers once did.
