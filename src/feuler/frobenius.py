@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .scalar import (LAMBDA, ONE, ZERO, LambdaRat, _iprim, _itrim, _one_minus_l_pow, _strip,
-                     lrat)
+                     dot)
 from .umbral import TruncSeries
 from .xpoly import XPoly
 
@@ -101,11 +101,11 @@ def j_lambda(p: XPoly, s: int = 1) -> XPoly:
         raise ValueError("negative power of the lowering operator")
     if s == 0:
         return p
-    acc = XPoly([])
-    for j in range(s + 1):
-        w = comb(s, j) * (-LAMBDA) ** (s - j)
-        acc = acc + p.shift(j) * w
-    return acc * (_INV ** s)
+    inv = _INV ** s
+    weights = [(-LAMBDA) ** (s - j) * inv for j in range(s + 1)]
+    shifts = [p.shift(j).coeffs for j in range(s + 1)]
+    return XPoly._trimmed([dot((comb(s, j), weights[j], q[k]) for j, q in enumerate(shifts))
+                           for k in range(len(p.coeffs))])
 
 
 @lru_cache(maxsize=None)
@@ -154,11 +154,6 @@ def surjection_sum(l: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _inv_pow(m: int) -> LambdaRat:
-    return _INV ** m
-
-
-@lru_cache(maxsize=None)
 def lowering_coeff(s: int, l: int) -> LambdaRat:
     """Weight of C(n,l) H_{n-l}^{(r)} when an order-r sequence is lowered s steps.
 
@@ -166,19 +161,14 @@ def lowering_coeff(s: int, l: int) -> LambdaRat:
     term past that bound vanishes, since C(s,m) = 0 for m > s and no
     l-set maps onto a larger set.
     """
-    acc = ZERO
-    for m in range(min(s, l) + 1):
-        w = comb(s, m) * surjection_sum(l, m)
-        if w:
-            acc = acc + w * _inv_pow(m)
-    return acc
+    return dot((comb(s, m) * surjection_sum(l, m), ONE,
+                LambdaRat._make(1, 1, (1,), _one_minus_l_pow(m))) for m in range(min(s, l) + 1))
 
 
 # held here, not looked up by name, so that clear_caches reaches the caches
 # even when a module attribute has been rebound to a wrapper; the last is
 # scalar's memo of the rows of (1 - L)^e
-_MEMOS = (fe_poly, cached_series, _delta_coeffs, surjection_sum, _inv_pow, lowering_coeff,
-          _one_minus_l_pow)
+_MEMOS = (fe_poly, cached_series, _delta_coeffs, surjection_sum, lowering_coeff, _one_minus_l_pow)
 
 
 class BasisExpansion:
@@ -226,24 +216,20 @@ def to_fe_basis(p: XPoly, r: int) -> BasisExpansion:
         raise ValueError("basis expansion needs a nonnegative order")
     if p.is_zero:
         return BasisExpansion(r, ())
-    weights = [comb(r, j) * (-LAMBDA) ** (r - j) for j in range(r + 1)]
-    points = [lrat(j) for j in range(r + 1)]
-    inv_r = _INV ** r
+    inv = _INV ** r
+    weights = [(-LAMBDA) ** (r - j) * inv for j in range(r + 1)]
     out = []
     dk = p
     for k in range(p.degree + 1):
-        acc = ZERO
-        for w, pt in zip(weights, points):
-            acc = acc + w * dk.evaluate(pt)
-        out.append(acc * inv_r * Fraction(1, factorial(k)))
+        acc = dot((comb(r, j), w, dk.evaluate(j)) for j, w in enumerate(weights))
+        out.append(acc * Fraction(1, factorial(k)))
         dk = dk.derivative()
     return BasisExpansion(r, tuple(out))
 
 
 def from_fe_basis(expansion: BasisExpansion) -> XPoly:
     """Recombine basis coefficients into the polynomial they expand."""
-    acc = XPoly([])
-    for k, c in enumerate(expansion.coefficients):
-        if not c.is_zero:
-            acc = acc + c * fe_poly(k, expansion.order)
-    return acc
+    cs = expansion.coefficients
+    polys = [fe_poly(k, expansion.order).coeffs for k in range(len(cs))]
+    return XPoly._trimmed([dot((1, cs[k], polys[k][m]) for k in range(m, len(cs)))
+                           for m in range(len(cs))])

@@ -12,19 +12,28 @@ values coincides with structural (and textual) equality.
   on the tuples, ``math.gcd`` on the content.  The polynomial gcd is
   heuristic (GCDHEU: one big-integer gcd of the two polynomials' values
   at a point, checked by exact division), with the primitive
-  pseudo-remainder sequence as its fallback.  Three cases skip it: a
-  constant factor scales the content only; a sum over equal denominators
-  adds the numerators and reduces against that one denominator; and when
-  both denominators are powers of (1 - L), the denominators of every
-  Frobenius-Euler value, no gcd runs at all.  That path recognises q =
-  (1 - L)^e by its alternating binomial row (e = 0 counted, rows memoized
-  by e), lifts the numerator of the smaller exponent by (1 - L)^(e_max -
-  e) and adds, or multiplies the numerators and adds the exponents, and
-  then strips (1 - L) from the numerator while its coefficients sum to
-  zero, one synthetic division b_i = a_0 + ... + a_i each.  By Gauss's
-  lemma the quotient of a primitive polynomial by (1 - L) is primitive
-  with the same lowest coefficient, so the result is canonical as it
-  stands.
+  pseudo-remainder sequence as its fallback.  A constant factor scales
+  the content only.  Every denominator splits as q = (1 - L)^e * r with r
+  prime to 1 - L (``_parts``; a power of (1 - L), the denominator of
+  every Frobenius-Euler value, is recognised by its alternating binomial
+  row, memoized by e, and has r = 1).  Sums lift the numerators of the
+  smaller exponents by (1 - L)^(e_max - e) and add; products multiply
+  the numerators and add the exponents.  Then (1 - L) is stripped from
+  the numerator while its coefficients sum to zero, one synthetic
+  division b_i = a_0 + ... + a_i each; by Gauss's lemma the quotient of
+  a primitive polynomial by (1 - L) is primitive with the same lowest
+  coefficient.  Only a nontrivial r costs a gcd, so no gcd runs over
+  powers of (1 - L).
+* ``dot`` is the n-ary kernel under every sum of products in the layers
+  above (XPoly products, shifts and values, series products, J, the
+  basis changes and the suite's split sums): the sum of w * x * y over
+  (int w, LambdaRat x, LambdaRat y) triples, reduced once.  It multiplies
+  the numerators, puts the contents over one common integer denominator,
+  adds the numerators of each (r, e) and lifts the sums of each r to its
+  largest e; then it strips, takes the content and reduces against r
+  once per r, where a pairwise fold does all of that once per operation.
+  ``+`` is the two-term case.  The result is the pairwise fold's, since
+  the canonical form is unique.
 * ``LambdaPoly`` is the input and view type: ascending rational
   coefficients with no trailing zero.  ``LambdaRat(num, den)`` accepts
   it, and ``LambdaRat.num`` and ``.den`` build it (``(a / b) * p`` and
@@ -227,14 +236,6 @@ def _one_minus_l_pow(e: int) -> tuple:
     return tuple(row)
 
 
-def _exponent(q):
-    """e when the canonical denominator q is (1 - L)^e, else None."""
-    e = len(q) - 1
-    if e == 0 or (q[0] == 1 and q[1] == -e and q == _one_minus_l_pow(e)):
-        return e
-    return None
-
-
 def _lift(p, d: int) -> list:
     """p * (1 - L)^d, one factor at a time: b_i = a_i - a_(i-1)."""
     p = list(p)
@@ -264,26 +265,87 @@ def _cmul(a1: int, b1: int, a2: int, b2: int) -> tuple:
     return (a1 // g) * (a2 // h), (b1 // h) * (b2 // g)
 
 
-def _combine(a1: int, b1: int, left, a2: int, b2: int, right) -> tuple:
-    """(a1 / b1) * left + (a2 / b2) * right as (a, b, primitive int list),
-    over one common integer denominator; zero is (0, 1, [])."""
-    d = b1
-    if b1 != b2:
-        g = gcd(b1, b2)
-        d = b1 // g * b2
-        a1 *= b2 // g
-        a2 *= b1 // g
-    if len(left) < len(right):
-        left, right, a1, a2 = right, left, a2, a1
-    acc = [a1 * c for c in left]
-    for i, c in enumerate(right):
-        acc[i] += a2 * c
-    _itrim(acc)
-    if not acc:
-        return 0, 1, acc
-    a, pn = _iprim(acc)
-    g = gcd(a, d)
-    return a // g, d // g, pn
+def _addto(acc: list, a: int, p) -> list:
+    """acc + a * p coefficientwise, in place, growing acc as needed."""
+    if len(acc) < len(p):
+        acc += [0] * (len(p) - len(acc))
+    for i, c in enumerate(p):
+        acc[i] += a * c
+    return acc
+
+
+def _parts(q) -> tuple:
+    """(e, r) with the canonical denominator q = (1 - L)^e * r, r prime to
+    1 - L.  A power of (1 - L) is recognised by its binomial row; any other
+    q is divided by (1 - L) while its coefficients sum to zero."""
+    e = len(q) - 1
+    if e == 0 or (q[1] == -e and q[0] == 1 and q == _one_minus_l_pow(e)):
+        return e, (1,)
+    r, k = _strip(q, e)
+    return e - k, tuple(r)
+
+
+def _reduce(terms) -> "LambdaRat":
+    """The sum of (a / b) * p / ((1 - L)^e * r) over (a, b, p, e, r) terms,
+    in canonical form; r is prime to 1 - L, and p and r need not be
+    reduced against each other.
+
+    The contents go over one common integer denominator d, and the
+    numerators of equal (r, e) are added.  For each r the sums are lifted,
+    smallest e first, to the largest, added, and (1 - L) is stripped once;
+    then one gcd reduces the sum against r, none when r is 1, as it is
+    for every Frobenius-Euler value.  The sums of distinct r are added
+    pairwise.
+    """
+    d = 1
+    for t in terms:
+        if d % t[1]:
+            d = d // gcd(d, t[1]) * t[1]
+    sums = {}
+    for a, b, p, e, r in terms:
+        _addto(sums.setdefault(r, {}).setdefault(e, []), a * (d // b), p)
+    out = ZERO
+    for r, by_e in sums.items():
+        acc = None
+        for k in sorted(by_e):
+            acc = by_e[k] if acc is None else _addto(_lift(acc, k - e), 1, by_e[k])
+            e = k
+        _itrim(acc)
+        if not acc:
+            continue
+        a, pn = _iprim(acc)
+        pn, e = _strip(pn, e)
+        q = _one_minus_l_pow(e)
+        if len(r) > 1:
+            g = _igcd(pn, r)
+            if len(g) > 1:
+                pn = _iquo(pn, g)
+                r = _iquo(r, g)
+            q = tuple(_imul(q, r))
+        g = gcd(a, d)
+        v = LambdaRat._make(a // g, d // g, tuple(pn), q)
+        out = v if out is ZERO else out + v
+    return out
+
+
+def dot(terms) -> "LambdaRat":
+    """The sum of w * x * y over (int w, LambdaRat x, LambdaRat y) triples.
+
+    Equal to the pairwise fold, but reduced once: each product is its
+    numerators' product over the product of the denominators, split as
+    in ``_parts``, and ``_reduce`` adds them all.  A term with a zero
+    factor is skipped, and an empty sum is ZERO.
+    """
+    prods = []
+    for w, x, y in terms:
+        if not (w and x.p and y.p):
+            continue
+        ex, rx = _parts(x.q)
+        ey, ry = _parts(y.q)
+        p = x.p if y.p == (1,) else y.p if x.p == (1,) else _imul(x.p, y.p)
+        r = rx if ry == (1,) else ry if rx == (1,) else tuple(_imul(rx, ry))
+        prods.append((w * x.a * y.a, x.b * y.b, p, ex + ey, r))
+    return _reduce(prods)
 
 
 def _horner(coeffs, point) -> Fraction:
@@ -473,43 +535,17 @@ class LambdaRat:
             return other
         if not other.p:
             return self
-        pa, qa, pb, qb = self.p, self.q, other.p, other.q
-        ea = _exponent(qa)
-        eb = _exponent(qb) if ea is not None else None
-        if eb is not None:
-            # over (1 - L)^ea and (1 - L)^eb: lift to the larger power
-            if ea < eb:
-                pa = _lift(pa, eb - ea)
-            elif eb < ea:
-                pb = _lift(pb, ea - eb)
-            a, b, pn = _combine(self.a, self.b, pa, other.a, other.b, pb)
-            if not pn:
-                return ZERO
-            pn, e = _strip(pn, max(ea, eb))
-            return LambdaRat._make(a, b, tuple(pn), _one_minus_l_pow(e))
-        if qa == qb:
-            # equal denominators: the sum of the numerators over q
-            g, qa2, qb2, left, right = qa, (1,), (1,), pa, pb
-        else:
-            g = _igcd(qa, qb)
+        ea, ra = _parts(self.q)
+        eb, rb = _parts(other.q)
+        pa, pb = self.p, other.p
+        if ra != rb:
+            # over (1 - L)^ea, (1 - L)^eb and the lcm of ra and rb
+            g = _igcd(ra, rb)
             if len(g) > 1:
-                qa2 = _iquo(qa, g)
-                qb2 = _iquo(qb, g)
-            else:
-                qa2, qb2 = qa, qb
-            left = _imul(pa, qb2)
-            right = _imul(pb, qa2)
-        a, b, pn = _combine(self.a, self.b, left, other.a, other.b, right)
-        if not pn:
-            return ZERO
-        # the only shared factors left can sit inside g
-        if len(g) > 1:
-            g2 = _igcd(pn, g)
-            if len(g2) > 1:
-                pn = _iquo(pn, g2)
-                g = _iquo(g, g2)
-        den = _imul(_imul(qa2, g), qb2)
-        return LambdaRat._make(a, b, tuple(pn), tuple(den))
+                ra, rb = _iquo(ra, g), _iquo(rb, g)
+            pa, pb = _imul(pa, rb), _imul(pb, ra)
+            ra = rb = tuple(_imul(_imul(ra, g), rb))
+        return _reduce(((self.a, self.b, pa, ea, ra), (other.a, other.b, pb, eb, rb)))
 
     __radd__ = __add__
 
@@ -540,9 +576,9 @@ class LambdaRat:
             return LambdaRat._make(a, b, pb, qb)
         if pb == qb == (1,):
             return LambdaRat._make(a, b, pa, qa)
-        ea = _exponent(qa)
-        eb = _exponent(qb) if ea is not None else None
-        if eb is not None:
+        ea, ra = _parts(qa)
+        eb, rb = _parts(qb)
+        if ra == rb == (1,):
             # over (1 - L)^ea and (1 - L)^eb: the exponents add
             pn, e = _strip(_imul(pa, pb), ea + eb)
             return LambdaRat._make(a, b, tuple(pn), _one_minus_l_pow(e))

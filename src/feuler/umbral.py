@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .scalar import ONE, ZERO, LambdaRat, lrat
+from .scalar import ONE, ZERO, LambdaRat, dot, lrat
 from .xpoly import XPoly
 
 
@@ -106,16 +106,8 @@ class TruncSeries:
             return TruncSeries._raw(tuple(c * s for c in self.coeffs), self.trunc)
         n = min(self.trunc, other.trunc)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(n + 1):
-            acc = ZERO
-            for k in range(m + 1):
-                ak = a[k]
-                bk = b[m - k]
-                if not ak.is_zero and not bk.is_zero:
-                    acc = acc + comb(m, k) * ak * bk
-            out.append(acc)
-        return TruncSeries._raw(tuple(out), n)
+        out = tuple(dot((comb(m, k), a[k], b[m - k]) for k in range(m + 1)) for m in range(n + 1))
+        return TruncSeries._raw(out, n)
 
     __rmul__ = __mul__
 
@@ -140,12 +132,7 @@ class TruncSeries:
         b0 = a[0].inverse()
         out = [b0]
         for n in range(1, self.trunc + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                ak = a[k]
-                if not ak.is_zero:
-                    acc = acc + comb(n, k) * ak * out[n - k]
-            out.append(-b0 * acc)
+            out.append(-b0 * dot((comb(n, k), a[k], out[n - k]) for k in range(1, n + 1)))
         return TruncSeries._raw(tuple(out), self.trunc)
 
     def __pow__(self, n: int):
@@ -168,12 +155,7 @@ class TruncSeries:
         if d > self.trunc:
             raise TruncationError(
                 f"need {d} series coefficients, kept {self.trunc}")
-        acc = ZERO
-        for n, c in enumerate(p.coeffs):
-            a = self.coeffs[n]
-            if not c.is_zero and not a.is_zero:
-                acc = acc + a * c
-        return acc
+        return dot((1, a, c) for a, c in zip(self.coeffs, p.coeffs))
 
     def operate(self, p: XPoly) -> XPoly:
         """f(t) applied to p(x); t^k differentiates k times."""
@@ -183,17 +165,9 @@ class TruncSeries:
                 f"need {d} series coefficients, kept {self.trunc}")
         if p.is_zero:
             return p
-        out = [ZERO] * (d + 1)
-        for n, c in enumerate(p.coeffs):
-            if c.is_zero:
-                continue
-            for k in range(n + 1):
-                a = self.coeffs[k]
-                if not a.is_zero:
-                    out[n - k] = out[n - k] + comb(n, k) * a * c
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly(out)
+        a, cs = self.coeffs, p.coeffs
+        return XPoly._trimmed([dot((comb(n, j), a[n - j], cs[n]) for n in range(j, d + 1))
+                               for j in range(d + 1)])
 
     def __str__(self):
         parts = []
@@ -244,14 +218,5 @@ def appell_expand(g: TruncSeries, p: XPoly) -> list:
     d = p.degree
     if d > g.trunc:
         raise TruncationError(f"need {d} series coefficients, kept {g.trunc}")
-    a = g.coeffs
-    out = []
-    for k in range(d + 1):
-        acc = ZERO
-        for n in range(k, d + 1):
-            c = p.coeffs[n]
-            am = a[n - k]
-            if not c.is_zero and not am.is_zero:
-                acc = acc + comb(n, k) * am * c
-        out.append(acc)
-    return out
+    a, cs = g.coeffs, p.coeffs
+    return [dot((comb(n, k), a[n - k], cs[n]) for n in range(k, d + 1)) for k in range(d + 1)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .scalar import NEG_INF, ONE, ZERO, LambdaPoly, LambdaRat, lrat
+from .scalar import NEG_INF, ONE, ZERO, LambdaPoly, LambdaRat, dot, lrat
 
 
 def _as_scalar(value):
@@ -43,6 +43,13 @@ class XPoly:
         self = object.__new__(cls)
         self.coeffs = coeffs
         return self
+
+    @classmethod
+    def _trimmed(cls, coeffs: list) -> "XPoly":
+        # trusted: list of LambdaRat, trailing zeros dropped here
+        while coeffs and coeffs[-1].is_zero:
+            coeffs.pop()
+        return cls._raw(tuple(coeffs))
 
     @classmethod
     def monomial(cls, k: int, coeff=1) -> "XPoly":
@@ -92,9 +99,7 @@ class XPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
+        return XPoly._trimmed(out)
 
     __radd__ = __add__
 
@@ -123,15 +128,10 @@ class XPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return XPoly._raw(())
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero:
-                for j, bj in enumerate(b):
-                    if not bj.is_zero:
-                        out[i + j] = out[i + j] + ai * bj
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
+        nb = len(b) - 1
+        out = [dot((1, a[i], b[m - i]) for i in range(max(0, m - nb), min(m, len(a) - 1) + 1))
+               for m in range(len(a) + nb)]
+        return XPoly._trimmed(out)
 
     __rmul__ = __mul__
 
@@ -174,23 +174,18 @@ class XPoly:
         apow = [ONE]
         for _ in range(n):
             apow.append(apow[-1] * a)
-        out = [ZERO] * (n + 1)
-        for m, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            for k in range(m + 1):
-                out[k] = out[k] + c * comb(m, k) * apow[m - k]
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
+        cs = self.coeffs
+        out = [dot((comb(m, k), cs[m], apow[m - k]) for m in range(k, n + 1))
+               for k in range(n + 1)]
+        return XPoly._trimmed(out)
 
     def evaluate(self, point) -> LambdaRat:
-        """Value at a point of Q(L), by Horner's rule."""
+        """Value at a point of Q(L): the sum of c_m point^m."""
         point = lrat(point)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        powers = [ONE]
+        for _ in range(len(self.coeffs) - 1):
+            powers.append(powers[-1] * point)
+        return dot((1, c, v) for c, v in zip(self.coeffs, powers))
 
     def __eq__(self, other):
         if isinstance(other, XPoly):

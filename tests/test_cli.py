@@ -261,6 +261,18 @@ def test_cli_verify_json_matches_cell():
     assert list(obj) == ["identity", "params", "status", "lhs", "rhs", "elapsed_us"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_verify_prints_the_same_bytes_every_time(fmt):
+    # the measured cell time is not printed: it is 0, as in a report
+    argv = ("verify", "--identity", "thm2", "--n", "3", "--r", "2", "--s", "1", "--format", fmt)
+    first, second = run_cli(*argv), run_cli(*argv)
+    assert first[0] == 0 and first == second
+    if fmt == "json":
+        assert json.loads(first[1])["elapsed_us"] == 0
+    else:
+        assert first[1].splitlines()[1].endswith(",0")
+
+
 def test_cli_verify_roundtrip_seeded():
     code, out_a, _ = run_cli("verify", "--identity", "thm1_roundtrip",
                              "--index", "7", "--format", "json")

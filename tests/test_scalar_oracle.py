@@ -16,7 +16,7 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
 from feuler.frobenius import fe_numbers  # noqa: E402
-from feuler.scalar import LambdaPoly, LambdaRat, lrat  # noqa: E402
+from feuler.scalar import LambdaPoly, LambdaRat, dot, lrat  # noqa: E402
 from genutil import rand_lpoly, rand_lrat, times_one_minus_l  # noqa: E402
 
 K, L = field("L", QQ)
@@ -86,6 +86,31 @@ def test_field_operations_match_sympy():
             assert to_sympy(a / b) == sa / sb
         k = rng.randint(-3, 4) if a else rng.randint(1, 4)
         assert to_sympy(a ** k) == (sa ** k if k >= 0 else (1 / sa) ** -k)
+
+
+def _dot_operand(rng):
+    # a general value, a value over (1 - L)^e, or their product, whose
+    # denominator is r (1 - L)^e with r prime to 1 - L
+    kind = rng.randrange(3)
+    v = rand_lrat(rng, max_deg=3) if kind != 1 else lrat(1)
+    if kind:
+        e = rng.randint(0, 6)
+        v = v * _over_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=kind == 1).coeffs, e)
+    return v
+
+
+def test_dot_matches_sympy():
+    # 100 seeded sums of up to 7 products over mixed denominators, some
+    # of them repeated with the opposite weight so that terms cancel
+    rng = random.Random(1210)
+    for _ in range(100):
+        terms = [(rng.randint(-4, 4), _dot_operand(rng), _dot_operand(rng))
+                 for _ in range(rng.randint(0, 5))]
+        if terms and rng.random() < 0.3:
+            w, x, y = rng.choice(terms)
+            terms.append((-w, x, y))
+        want = sum((w * to_sympy(x) * to_sympy(y) for w, x, y in terms), K.zero)
+        assert to_sympy(dot(terms)) == want
 
 
 def _positive_order_numbers(s: int, n_max: int) -> list:

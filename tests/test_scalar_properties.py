@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from feuler import scalar  # noqa: E402
 from feuler.cli import latex_lrat, latex_xpoly  # noqa: E402
 from feuler.scalar import (  # noqa: E402
-    LAMBDA, ONE, LambdaPoly, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, lrat)
+    LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, dot,
+    lrat)
 from feuler.xpoly import XPoly  # noqa: E402
 from genutil import times_one_minus_l  # noqa: E402
 
@@ -41,6 +42,12 @@ def times_one_minus_l_pow(p, k):
 power_lrats = st.builds(
     lambda p, k, e: LambdaRat(times_one_minus_l_pow(p, k), one_minus_l_pow(e)),
     polys, st.integers(0, 3), st.integers(0, 8))
+# p / (r (1 - L)^e) with r from a short list, so that the terms of a sum
+# often share r and differ in e
+other_dens = st.sampled_from([[1], [1, 1], [2, -1], [1, 0, 1], [3, 1, 1]])
+mixed_lrats = st.builds(
+    lambda p, r, e: LambdaRat(p, LambdaPoly(times_one_minus_l(r, e))),
+    polys, other_dens, st.integers(0, 5))
 xpolys = st.lists(lrats, max_size=4).map(XPoly)
 # nonzero int polynomials of degree <= 20, coefficients up to 2^70
 int_polys = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=21).map(_itrim).filter(bool)
@@ -189,6 +196,70 @@ def test_negative_content_splits_like_floor_division(a, k):
     for v in a:
         g = gcd(g, v)
     assert _iprim(a) == (-g, [v // -g for v in a])
+
+
+def pairwise(terms):
+    acc = ZERO
+    for w, x, y in terms:
+        acc = acc + w * x * y
+    return acc
+
+
+def check_dot(terms):
+    v = dot(terms)
+    assert_same(v, pairwise(terms))
+    check_canonical(v)
+    assert_same(LambdaRat(v.num, v.den), v)
+    return v
+
+
+def triples(values):
+    # weights zero and negative too; values may be zero
+    return st.lists(st.tuples(st.integers(-4, 4), values, values), max_size=6)
+
+
+@seeded
+@given(triples(st.one_of(lrats, power_lrats, mixed_lrats)))
+def test_dot_is_the_pairwise_fold(terms):
+    check_dot(terms)
+
+
+@seeded
+@given(triples(st.one_of(power_lrats, mixed_lrats)))
+def test_dot_cancels_to_zero(terms):
+    # the terms, then the same terms negated in reverse order
+    v = check_dot(terms + [(-w, x, y) for w, x, y in reversed(terms)])
+    assert v is ZERO or (v == ZERO and str(v) == "0")
+
+
+@seeded
+@given(polys, nonzero_polys, st.integers(1, 4), st.integers(0, 4), power_lrats)
+def test_dot_strips_a_cancelled_power_of_one_minus_l(n, m, k, extra, f):
+    # n / (1 - L)^e + (m (1 - L)^k - n) / (1 - L)^e = m / (1 - L)^(e - k),
+    # times f, with the second term split over two weights
+    e = k + extra
+    rest = [c - d for c, d in zip_longest(times_one_minus_l(m.coeffs, k), n.coeffs, fillvalue=0)]
+    a = LambdaRat(n, one_minus_l_pow(e))
+    b = LambdaRat(LambdaPoly(rest), one_minus_l_pow(e))
+    v = check_dot([(1, a, f), (3, b, f), (-2, b, f)])
+    assert_same(v, LambdaRat(m, one_minus_l_pow(e - k)) * f)
+
+
+def test_dot_of_nothing_is_zero():
+    assert dot([]) is ZERO
+    assert dot([(0, ONE, ONE), (5, ZERO, LAMBDA), (-1, LAMBDA, ZERO)]) is ZERO
+
+
+@seeded
+@given(triples(power_lrats))
+def test_dot_over_powers_of_one_minus_l_runs_no_gcd(terms):
+    def no_gcd(a, b):
+        raise AssertionError("a polynomial gcd ran over powers of (1 - L)")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_igcd", no_gcd)
+        v = dot(terms)
+    assert_same(v, check_dot(terms))
 
 
 # ---------------------------------------------------------------------------
