@@ -10,7 +10,9 @@ The polynomial expression grammar shared by ``convert`` and the tests:
 
 Rationals bind greedily ('3/2^2' is (3/2)^2), division only accepts
 divisors free of x, and everything the canonical printers emit parses
-back to an equal value.
+back to an equal value.  Parentheses and unary minus signs nest at most
+MAX_DEPTH deep, and a power's exponent, and its degree in x and in L,
+are at most MAX_DEGREE; past either limit the parse fails.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from itertools import islice
 from . import frobenius, suite as suite_mod
 from .scalar import LAMBDA, ONE, PoleError, _render, lrat
 from .xpoly import X, XPoly
+
+
+MAX_DEPTH = 100  # parentheses and unary minus signs, counted together
+MAX_DEGREE = 1000  # of a power, in x and in L, and of its exponent
 
 
 class PolyParseError(ValueError):
@@ -68,6 +74,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -108,14 +115,24 @@ class _Parser:
             if kind != "int":
                 raise PolyParseError("expected a nonnegative integer exponent", pos)
             self.advance()
-            v = v ** int(text)
+            n = _int(text, pos)
+            size = max([len(v.coeffs) - 1] + [max(len(c.p), len(c.q)) - 1 for c in v.coeffs])
+            if n > MAX_DEGREE or size * n > MAX_DEGREE:
+                raise PolyParseError(f"power of degree above {MAX_DEGREE}", pos)
+            v = v ** n
         return v
 
     def base(self) -> XPoly:
         kind, text, pos = self.peek()
+        if kind in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise PolyParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
         if kind == "-":
             self.advance()
-            return -self.base()
+            v = -self.base()
+            self.depth -= 1
+            return v
         if kind == "int":
             return XPoly.const(self.rational())
         if kind == "x":
@@ -131,22 +148,30 @@ class _Parser:
             if k2 != ")":
                 raise PolyParseError("expected ')'", p2)
             self.advance()
+            self.depth -= 1
             return v
         if kind == "end":
             raise PolyParseError("unexpected end of input", pos)
         raise PolyParseError(f"unexpected {text!r}", pos)
 
     def rational(self) -> Fraction:
-        _, text, _ = self.advance()
-        num = int(text)
+        _, text, pos = self.advance()
+        num = _int(text, pos)
         if self.peek()[0] == "/" and self.toks[self.i + 1][0] == "int":
             self.advance()
             _, dtext, dpos = self.advance()
-            den = int(dtext)
+            den = _int(dtext, dpos)
             if den == 0:
                 raise PolyParseError("zero denominator", dpos)
             return Fraction(num, den)
         return Fraction(num)
+
+
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # a digit int() does not read, or too many digits
+        raise PolyParseError("unreadable integer", pos) from None
 
 
 def parse_poly_expr(text: str) -> XPoly:

@@ -92,6 +92,13 @@ def cached_series(r: int, trunc: int) -> TruncSeries:
     return fe_series(r, trunc)
 
 
+def _shift_weights(s: int) -> list:
+    """w_j = (-L)^{s-j} / (1-L)^s for j = 0..s, the weights of the shifts
+    p(x + j) in J^s and in the evaluation formula of ``to_fe_basis``."""
+    inv = _INV ** s
+    return [(-LAMBDA) ** (s - j) * inv for j in range(s + 1)]
+
+
 def j_lambda(p: XPoly, s: int = 1) -> XPoly:
     """s-fold application of J: p(x) -> (p(x+1) - L p(x))/(1 - L).
 
@@ -101,8 +108,7 @@ def j_lambda(p: XPoly, s: int = 1) -> XPoly:
         raise ValueError("negative power of the lowering operator")
     if s == 0:
         return p
-    inv = _INV ** s
-    weights = [(-LAMBDA) ** (s - j) * inv for j in range(s + 1)]
+    weights = _shift_weights(s)
     shifts = [p.shift(j).coeffs for j in range(s + 1)]
     return XPoly._trimmed([dot((comb(s, j), weights[j], q[k]) for j, q in enumerate(shifts))
                            for k in range(len(p.coeffs))])
@@ -210,21 +216,25 @@ class BasisExpansion:
 def to_fe_basis(p: XPoly, r: int) -> BasisExpansion:
     """Expand p in the order-r basis by the finite evaluation formula.
 
-    C_k = (1/(k! (1-L)^r)) sum_{j=0}^{r} C(r,j)(-L)^{r-j} (D^k p)(j).
+    C_k = (1/(k! (1-L)^r)) sum_{j=0}^{r} C(r,j)(-L)^{r-j} (D^k p)(j), and
+    (D^k p)(j)/k! = sum_{m >= k} C(m,k) c_m j^(m-k), with 0^0 = 1, so
+
+        C_k = sum_{j=0}^{r} sum_{m=k}^{deg p} C(r,j) C(m,k) j^(m-k) w_j c_m,
+        w_j = (-L)^{r-j} / (1-L)^r,
+
+    one dot per coefficient.
     """
     if r < 0:
         raise ValueError("basis expansion needs a nonnegative order")
     if p.is_zero:
         return BasisExpansion(r, ())
-    inv = _INV ** r
-    weights = [(-LAMBDA) ** (r - j) * inv for j in range(r + 1)]
-    out = []
-    dk = p
-    for k in range(p.degree + 1):
-        acc = dot((comb(r, j), w, dk.evaluate(j)) for j, w in enumerate(weights))
-        out.append(acc * Fraction(1, factorial(k)))
-        dk = dk.derivative()
-    return BasisExpansion(r, tuple(out))
+    weights = _shift_weights(r)
+    cs = p.coeffs
+    d = len(cs)
+    return BasisExpansion(r, tuple(
+        dot((comb(r, j) * comb(m, k) * j ** (m - k), w, cs[m])
+            for j, w in enumerate(weights) for m in range(k, d if j else k + 1))
+        for k in range(d)))
 
 
 def from_fe_basis(expansion: BasisExpansion) -> XPoly:

@@ -30,10 +30,12 @@ values coincides with structural (and textual) equality.
   (int w, LambdaRat x, LambdaRat y) triples, reduced once.  It multiplies
   the numerators, puts the contents over one common integer denominator,
   adds the numerators of each (r, e) and lifts the sums of each r to its
-  largest e; then it strips, takes the content and reduces against r
-  once per r, where a pairwise fold does all of that once per operation.
-  ``+`` is the two-term case.  The result is the pairwise fold's, since
-  the canonical form is unique.
+  largest e; the sums of distinct r then go over one common denominator
+  (1 - L)^E * R, R the lcm of the r, and are added.  It strips, takes
+  the content and reduces against R once, where a pairwise fold does all
+  of that once per operation.  ``+`` is the two-term case, each operand
+  with its own (e, r).  The result is the pairwise fold's, since the
+  canonical form is unique.
 * ``LambdaPoly`` is the input and view type: ascending rational
   coefficients with no trailing zero.  ``LambdaRat(num, den)`` accepts
   it, and ``LambdaRat.num`` and ``.den`` build it (``(a / b) * p`` and
@@ -292,10 +294,12 @@ def _reduce(terms) -> "LambdaRat":
 
     The contents go over one common integer denominator d, and the
     numerators of equal (r, e) are added.  For each r the sums are lifted,
-    smallest e first, to the largest, added, and (1 - L) is stripped once;
-    then one gcd reduces the sum against r, none when r is 1, as it is
-    for every Frobenius-Euler value.  The sums of distinct r are added
-    pairwise.
+    smallest e first, to the largest and added.  The groups that did not
+    cancel go over one common denominator (1 - L)^E * R, E their largest
+    exponent and R the lcm of their r: each is lifted by (1 - L)^(E - e)
+    and multiplied by R / r, and the groups are added.  Then (1 - L) is
+    stripped once, the content taken, and one gcd reduces the sum against
+    R, none when R is 1, as it is for every Frobenius-Euler value.
     """
     d = 1
     for t in terms:
@@ -304,28 +308,40 @@ def _reduce(terms) -> "LambdaRat":
     sums = {}
     for a, b, p, e, r in terms:
         _addto(sums.setdefault(r, {}).setdefault(e, []), a * (d // b), p)
-    out = ZERO
+    groups = []
     for r, by_e in sums.items():
         acc = None
         for k in sorted(by_e):
             acc = by_e[k] if acc is None else _addto(_lift(acc, k - e), 1, by_e[k])
             e = k
-        _itrim(acc)
-        if not acc:
-            continue
-        a, pn = _iprim(acc)
-        pn, e = _strip(pn, e)
-        q = _one_minus_l_pow(e)
-        if len(r) > 1:
-            g = _igcd(pn, r)
-            if len(g) > 1:
-                pn = _iquo(pn, g)
-                r = _iquo(r, g)
-            q = tuple(_imul(q, r))
-        g = gcd(a, d)
-        v = LambdaRat._make(a // g, d // g, tuple(pn), q)
-        out = v if out is ZERO else out + v
-    return out
+        if _itrim(acc):
+            groups.append((r, e, acc))
+    if not groups:
+        return ZERO
+    big_r, e, acc = groups[0]
+    if len(groups) > 1:
+        for r, _, _ in groups[1:]:
+            g = _igcd(big_r, r)
+            big_r = tuple(_imul(big_r, r if len(g) == 1 else _iquo(r, g)))
+        e = max(t[1] for t in groups)
+        acc = []
+        for r, k, num in groups:
+            if len(r) < len(big_r):
+                num = _imul(num, _iquo(big_r, r))
+            _addto(acc, 1, _lift(num, e - k))
+        if not _itrim(acc):
+            return ZERO
+    a, pn = _iprim(acc)
+    pn, e = _strip(pn, e)
+    q = _one_minus_l_pow(e)
+    if len(big_r) > 1:
+        g = _igcd(pn, big_r)
+        if len(g) > 1:
+            pn = _iquo(pn, g)
+            big_r = _iquo(big_r, g)
+        q = tuple(_imul(q, big_r))
+    g = gcd(a, d)
+    return LambdaRat._make(a // g, d // g, tuple(pn), q)
 
 
 def dot(terms) -> "LambdaRat":
@@ -535,17 +551,8 @@ class LambdaRat:
             return other
         if not other.p:
             return self
-        ea, ra = _parts(self.q)
-        eb, rb = _parts(other.q)
-        pa, pb = self.p, other.p
-        if ra != rb:
-            # over (1 - L)^ea, (1 - L)^eb and the lcm of ra and rb
-            g = _igcd(ra, rb)
-            if len(g) > 1:
-                ra, rb = _iquo(ra, g), _iquo(rb, g)
-            pa, pb = _imul(pa, rb), _imul(pb, ra)
-            ra = rb = tuple(_imul(_imul(ra, g), rb))
-        return _reduce(((self.a, self.b, pa, ea, ra), (other.a, other.b, pb, eb, rb)))
+        return _reduce(((self.a, self.b, self.p, *_parts(self.q)),
+                        (other.a, other.b, other.p, *_parts(other.q))))
 
     __radd__ = __add__
 

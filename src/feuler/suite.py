@@ -30,8 +30,8 @@ closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
     eq15_duality    TruncSeries powering on the order-r table | n! delta_{n,k}
     eq12_ladder     derivative of the order-r table | n times the order-r table
     eq22_ladder     J shift formula on the order-r table | order r - 1 table
-    thm1_roundtrip  evaluation formula | appell_expand on TruncSeries powering,
-                    then order-r tables recombined | p
+    thm1_roundtrip  evaluation formula, one dot per coefficient | appell_expand on
+                    TruncSeries powering, then order-r tables recombined | p
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ import pytest
 
 from feuler import frobenius, suite
 from feuler.cli import (
+    MAX_DEGREE,
+    MAX_DEPTH,
     PolyParseError,
     latex_lrat,
     latex_xpoly,
@@ -200,6 +202,45 @@ def test_cli_convert_parse_error():
     assert code == 2
     assert out == ""
     assert "position 3" in err
+
+
+@pytest.mark.parametrize("poly, message", [
+    ("(" * 300 + "x" + ")" * 300, f"nesting deeper than {MAX_DEPTH} levels at position {MAX_DEPTH}"),
+    ("x+" + "-" * 2000 + "x", f"nesting deeper than {MAX_DEPTH} levels at position {MAX_DEPTH + 2}"),
+    ("x^200000", f"power of degree above {MAX_DEGREE} at position 2"),
+    ("(x^2 + L)^501", f"power of degree above {MAX_DEGREE} at position 10"),
+    ("(1 + L^3)^400", f"power of degree above {MAX_DEGREE} at position 10"),
+    ("1" * 5000 + "*x", "unreadable integer at position 0"),
+], ids=["300-parentheses", "2000-unary-minus", "exponent", "degree-in-x", "degree-in-L",
+        "5000-digits"])
+def test_cli_convert_limits_exit_2(poly, message):
+    # a fresh interpreter, so that the recursion limit is the one a user
+    # meets; each used to end in a traceback with exit 1 or to run for minutes
+    proc = subprocess.run([sys.executable, "-m", "feuler", "convert", "--poly", poly],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_parse_limits_are_inclusive():
+    deep = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_poly_expr(deep) == X
+    assert parse_poly_expr("-" * MAX_DEPTH + "x") == X
+    assert parse_poly_expr("-(" * (MAX_DEPTH // 2) + "x" + ")" * (MAX_DEPTH // 2)) == X
+    with pytest.raises(PolyParseError, match="nesting"):
+        parse_poly_expr("(" + deep + ")")
+    with pytest.raises(PolyParseError, match="nesting"):
+        parse_poly_expr("-" + "(-" * (MAX_DEPTH // 2) + "x" + ")" * (MAX_DEPTH // 2))
+    # nesting counts open levels only: a long flat sum is fine
+    assert parse_poly_expr(" + ".join(["(x)"] * 3 * MAX_DEPTH)) == 3 * MAX_DEPTH * X
+    assert parse_poly_expr(f"L^{MAX_DEGREE}") == XPoly.const(LAMBDA ** MAX_DEGREE)
+    assert parse_poly_expr(f"(x^2)^{MAX_DEGREE // 4}") == X ** (MAX_DEGREE // 2)
+    assert parse_poly_expr(f"0^{MAX_DEGREE}") == XPoly([])
+    for text in (f"L^{MAX_DEGREE + 1}", f"(x^2)^{MAX_DEGREE // 2 + 1}", f"(1/(1 - L))^{MAX_DEGREE + 1}",
+                 f"0^{MAX_DEGREE + 1}"):
+        with pytest.raises(PolyParseError, match=f"power of degree above {MAX_DEGREE}"):
+            parse_poly_expr(text)
 
 
 def test_cli_stirling():

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import pytest
 
-from feuler.scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, lrat
+from feuler.scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, dot, lrat
 from feuler.umbral import TruncSeries, appell_expand, appell_sequence
 from feuler.xpoly import X, XPoly
 from feuler import frobenius, scalar
@@ -34,7 +34,8 @@ from feuler.frobenius import (
     to_fe_basis,
 )
 
-from genutil import rand_xpoly
+from feuler.suite import DEFAULT_SEED, roundtrip_inputs
+from genutil import rand_lrat, rand_xpoly
 
 L = LAMBDA
 ONE_MINUS = ONE - L
@@ -375,6 +376,36 @@ def test_basis_matches_functional_route():
         direct = to_fe_basis(p, r).coefficients
         dual = appell_expand(fe_series(r, max(p.degree, 0)), p)
         assert list(direct) == dual
+
+
+def evaluation_formula_oracle(p, r):
+    # to_fe_basis as it was before the formula was expanded: the order-k
+    # derivative, its values at j = 0..r, one dot over j, then / k!
+    if p.is_zero:
+        return BasisExpansion(r, ())
+    inv = ONE_MINUS.inverse() ** r
+    weights = [(-LAMBDA) ** (r - j) * inv for j in range(r + 1)]
+    out = []
+    dk = p
+    for k in range(p.degree + 1):
+        acc = dot((comb(r, j), w, dk.evaluate(j)) for j, w in enumerate(weights))
+        out.append(acc * Fraction(1, factorial(k)))
+        dk = dk.derivative()
+    return BasisExpansion(r, tuple(out))
+
+
+def test_basis_expansion_matches_the_derivative_evaluation_oracle():
+    for p, r in roundtrip_inputs(DEFAULT_SEED, 100):
+        assert to_fe_basis(p, r) == evaluation_formula_oracle(p, r)
+    # coefficients over 1, (1 - L)^e, 1 + L, 2 - L and general denominators
+    rng = random.Random(44)
+    dens = [ONE, ONE_MINUS ** 3, ONE + L, 2 - L, (ONE + L) * (2 - L) * ONE_MINUS]
+    for r in range(6):
+        for _ in range(4):
+            p = XPoly([rand_lrat(rng) / rng.choice(dens) for _ in range(rng.randint(1, 7))])
+            assert to_fe_basis(p, r) == evaluation_formula_oracle(p, r)
+        for p in (XPoly([]), XPoly.const(3), XPoly.const(L / (ONE + L)), X):
+            assert to_fe_basis(p, r) == evaluation_formula_oracle(p, r)
 
 
 def test_basis_expansion_is_an_immutable_value():

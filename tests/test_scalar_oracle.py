@@ -16,7 +16,7 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
 from feuler.frobenius import fe_numbers  # noqa: E402
-from feuler.scalar import LambdaPoly, LambdaRat, dot, lrat  # noqa: E402
+from feuler.scalar import LambdaPoly, LambdaRat, _imul, _parts, dot, lrat  # noqa: E402
 from genutil import rand_lpoly, rand_lrat, times_one_minus_l  # noqa: E402
 
 K, L = field("L", QQ)
@@ -111,6 +111,55 @@ def test_dot_matches_sympy():
             terms.append((-w, x, y))
         want = sum((w * to_sympy(x) * to_sympy(y) for w, x, y in terms), K.zero)
         assert to_sympy(dot(terms)) == want
+    # 60 more whose operands carry three or more distinct r from products of
+    # 1 + L, 2 - L, 1 + L^2 and 3 + L, some of them sharing a factor; a
+    # third of them end with the term that cancels every r
+    for i in range(60):
+        terms = [(rng.randint(-4, 4) or 1, _over_r(rng, picks), _dot_operand(rng))
+                 for picks in _distinct_r_picks(rng)]
+        want = sum((w * to_sympy(x) * to_sympy(y) for w, x, y in terms), K.zero)
+        if i % 3 == 0:
+            t = _over_one_minus_l(rand_lpoly(rng, max_deg=3).coeffs, rng.randint(0, 3))
+            rest = t - sum((w * x * y for w, x, y in terms), lrat(0))
+            terms.append((1, rest, lrat(1)))
+            want += to_sympy(rest)
+            assert want == to_sympy(t)
+        assert to_sympy(dot(terms)) == want
+
+
+_R_FACTORS = ([1, 1], [2, -1], [1, 0, 1], [3, 1])  # 1 + L, 2 - L, 1 + L^2, 3 + L
+
+
+def _distinct_r_picks(rng):
+    # three to five distinct multisets of up to three factors
+    count = rng.randint(3, 5)
+    picks = set()
+    while len(picks) < count:
+        picks.add(tuple(sorted(rng.randrange(4) for _ in range(rng.randint(1, 3)))))
+    return sorted(picks)
+
+
+def _over_r(rng, picks):
+    # a numerator that shares no factor with r, over (1 - L)^e * r; the
+    # input is built with feuler's own product, the check is SymPy's
+    r = [1]
+    for i in picks:
+        r = _imul(r, _R_FACTORS[i])
+    while True:
+        v = LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=False),
+                      LambdaPoly(times_one_minus_l(r, rng.randint(0, 3))))
+        if _parts(v.q)[1] == tuple(r):
+            return v
+
+
+def test_sums_over_distinct_r_match_sympy():
+    # two-term + over distinct r, sharing a factor or not, is reduced by
+    # the same step as dot
+    rng = random.Random(1211)
+    for _ in range(100):
+        a, b = (_over_r(rng, picks) for picks in _distinct_r_picks(rng)[:2])
+        assert to_sympy(a + b) == to_sympy(a) + to_sympy(b)
+        assert to_sympy(a - b) == to_sympy(a) - to_sympy(b)
 
 
 def _positive_order_numbers(s: int, n_max: int) -> list:

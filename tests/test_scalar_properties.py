@@ -205,11 +205,23 @@ def pairwise(terms):
     return acc
 
 
+# rational points of L; a value with a pole at one skips it
+POINTS = (Fraction(7, 11), Fraction(-13, 17), Fraction(19, 5))
+
+
 def check_dot(terms):
     v = dot(terms)
     assert_same(v, pairwise(terms))
     check_canonical(v)
     assert_same(LambdaRat(v.num, v.den), v)
+    # + reduces through the same kernel, so the fold alone would miss a
+    # kernel fault; values at points of L in Fraction arithmetic share none
+    for t in POINTS:
+        try:
+            want = sum(w * x.evaluate(t) * y.evaluate(t) for w, x, y in terms)
+        except scalar.PoleError:
+            continue
+        assert v.evaluate(t) == want
     return v
 
 
@@ -260,6 +272,70 @@ def test_dot_over_powers_of_one_minus_l_runs_no_gcd(terms):
         mp.setattr(scalar, "_igcd", no_gcd)
         v = dot(terms)
     assert_same(v, check_dot(terms))
+
+
+# Denominators (1 - L)^e * r with r a product of up to three of these
+# factors, repeats allowed: 1 + L, 2 - L, 1 + L^2 and 3 + L.  Distinct r
+# of one sum often share a factor, like (1 + L)(2 - L) beside 1 + L, so
+# their common denominator is an lcm and not the product.
+R_FACTORS = ([1, 1], [2, -1], [1, 0, 1], [3, 1])
+r_picks = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(lambda k: tuple(sorted(k)))
+
+
+def r_product(picks):
+    r = [1]
+    for i in picks:
+        r = _imul(r, R_FACTORS[i])
+    return r
+
+
+def over_r(p, picks, e):
+    return LambdaRat(p, LambdaPoly(times_one_minus_l(r_product(picks), e)))
+
+
+@st.composite
+def distinct_r_terms(draw):
+    # three to five products whose operands carry distinct r, each next to
+    # a polynomial, a value over a power of (1 - L) or another such operand
+    terms = []
+    for picks in draw(st.lists(r_picks, min_size=3, max_size=5, unique=True)):
+        x = draw(st.builds(over_r, nonzero_polys, st.just(picks), st.integers(0, 3)).filter(
+            lambda v: scalar._parts(v.q)[1] == tuple(r_product(picks))))
+        y = draw(st.one_of(polys.map(lrat), power_lrats, mixed_lrats))
+        terms.append((draw(st.integers(-4, 4)), x, y))
+    return terms
+
+
+# three to five terms over products of up to six factors: half the budget
+seeded_large = settings(seeded, max_examples=30)
+
+
+@seeded_large
+@given(distinct_r_terms())
+def test_dot_over_three_or_more_distinct_r_is_the_pairwise_fold(terms):
+    check_dot(terms)
+
+
+@seeded_large
+@given(distinct_r_terms(), polys, st.integers(0, 3))
+def test_dot_whose_r_parts_cancel_to_a_polynomial(terms, p, e):
+    # the terms plus (t - their sum) for t = p / (1 - L)^e: every r cancels
+    t = LambdaRat(p, one_minus_l_pow(e))
+    v = check_dot(terms + [(1, t - pairwise(terms), ONE)])
+    assert_same(v, t)
+    assert len(scalar._parts(v.q)[1]) == 1
+
+
+def test_dot_puts_distinct_r_over_their_lcm():
+    # 1/((1 - L)(1 + L)) + 1/((1 + L)(2 - L)) - 1/(2 - L)
+    #   = (2 - 2L + L^2) / ((1 - L)(1 + L)(2 - L)):
+    # the factor 1 + L that two of the r share is taken once
+    a = over_r([1], (0,), 1)
+    b = over_r([1], (0, 1), 0)
+    c = over_r([1], (1,), 0)
+    v = check_dot([(1, a, ONE), (1, b, ONE), (-1, c, ONE)])
+    assert (v.a, v.b, v.p) == (1, 1, (2, -2, 1))
+    assert v.q == tuple(_imul(times_one_minus_l([1], 1), r_product((0, 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 
 from feuler.scalar import LAMBDA, ONE
 from feuler import frobenius, suite
+from feuler.umbral import TruncSeries
+from feuler.xpoly import XPoly
 from feuler.suite import (
     DEFAULT_SEED,
     IDENTITIES,
@@ -177,3 +179,99 @@ def test_plan_draws_the_roundtrip_inputs():
         drawn = [(args["p"], args["r"]) for ident, args in suite._plan(10, 4, 0, seed)
                  if ident == "thm1_roundtrip"]
         assert drawn == list(roundtrip_inputs(seed, 100))
+
+
+# ---------------------------------------------------------------------------
+# Route perturbations: each row breaks one building block of a route in the
+# routes table of suite.py and names every identity whose cells must then
+# mismatch in run_suite(6, 3, 3), no more and no fewer.  A fast path that let
+# both sides of a cell share the block would keep the cells equal and fail
+# its row.
+
+def _flip_first_shift_weight(orig):
+    # the sign of (-L)^s, the j = 0 weight of J^s and of to_fe_basis
+    return lambda s: [-w if j == 0 and s else w for j, w in enumerate(orig(s))]
+
+
+def _bump_series_power(orig):
+    # coefficient 1 of every power of a series
+    def power(self, n):
+        out = orig(self, n)
+        if out.trunc < 1:
+            return out
+        return TruncSeries._raw((out.coeffs[0], out.coeffs[1] + ONE) + out.coeffs[2:], out.trunc)
+    return power
+
+
+def _bump_basis_polynomial(orig):
+    # H_1^{(1)}, as from_fe_basis reads it; the suite's own tables are
+    # imported by name and keep the true one
+    return lambda n, r=1: orig(n, r) + ONE if (n, r) == (1, 1) else orig(n, r)
+
+
+def _bump_derivative(orig):
+    return lambda self, order=1: orig(self, order) + ONE
+
+
+def _bump_value(orig):
+    return lambda self, point: orig(self, point) + ONE
+
+
+ROUTE_ROWS = [
+    pytest.param(frobenius, "_shift_weights", _flip_first_shift_weight,
+                 {"thm1_roundtrip", "eq22_ladder"}, id="evaluation-formula-and-J-weights"),
+    pytest.param(TruncSeries, "__pow__", _bump_series_power,
+                 {"thm1_roundtrip", "eq15_duality"}, id="TruncSeries-powering"),
+    pytest.param(frobenius, "fe_poly", _bump_basis_polynomial,
+                 {"thm1_roundtrip"}, id="recombination-tables"),
+    pytest.param(XPoly, "derivative", _bump_derivative,
+                 {"eq12_ladder"}, id="XPoly-derivative"),
+]
+
+# Blocks that no identity reaches, with the reason; their unit tests cover them.
+UNCOVERED = [
+    pytest.param(XPoly, "evaluate", _bump_value,
+                 id="XPoly-evaluate: to_fe_basis reads the coefficients of p, not its values"),
+]
+
+
+@pytest.fixture
+def cold_caches():
+    # a perturbed value must not outlive its test in a memo
+    frobenius.clear_caches()
+    yield
+    frobenius.clear_caches()
+
+
+def _mismatching_identities(monkeypatch, owner, name, perturb):
+    monkeypatch.setattr(owner, name, perturb(getattr(owner, name)))
+    rep = run_suite(6, 3, 3)
+    for c in rep.cells:
+        assert (c.status == "equal") == (c.lhs == c.rhs)
+    return {c.identity for c in rep.cells if c.status == "mismatch"}
+
+
+@pytest.mark.parametrize("owner, name, perturb, expected", ROUTE_ROWS)
+def test_route_perturbation_mismatches_its_identities(monkeypatch, cold_caches, owner, name,
+                                                      perturb, expected):
+    assert _mismatching_identities(monkeypatch, owner, name, perturb) == expected
+
+
+@pytest.mark.parametrize("owner, name, perturb", UNCOVERED)
+def test_uncovered_block_changes_no_cell(monkeypatch, cold_caches, owner, name, perturb):
+    assert _mismatching_identities(monkeypatch, owner, name, perturb) == set()
+
+
+def _names_read(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names_read(const)
+    return names
+
+
+def test_evaluation_route_reads_no_series():
+    # the dual side of thm1 is appell_expand on TruncSeries powering
+    read = _names_read(frobenius.to_fe_basis.__code__)
+    read |= _names_read(frobenius._shift_weights.__code__)
+    assert not read & {"fe_series", "cached_series", "TruncSeries", "appell_expand", "umbral"}
