@@ -30,7 +30,8 @@ from .xpoly import X, XPoly
 
 
 MAX_DEPTH = 100  # parentheses and unary minus signs, counted together
-MAX_DEGREE = 1000  # of a power, in x and in L, and of its exponent
+MAX_DEGREE = 1000  # of a power, in x and in L, and of its exponent; and convert's --order
+MAX_INDEX = 9999  # of verify's thm1_roundtrip --index: each earlier input is drawn first
 
 
 class PolyParseError(ValueError):
@@ -298,6 +299,9 @@ def _cmd_poly(args, seed: int) -> int:
 
 
 def _cmd_convert(args, seed: int) -> int:
+    if args.order > MAX_DEGREE:
+        sys.stderr.write(f"error: convert needs --order <= {MAX_DEGREE}\n")
+        return 2
     try:
         p = parse_poly_expr(args.poly)
     except PolyParseError as exc:
@@ -337,6 +341,9 @@ def _cmd_verify(args, seed: int) -> int:
         sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
         return 2
     if args.identity == "thm1_roundtrip":
+        if args.index > MAX_INDEX:
+            sys.stderr.write(f"error: thm1_roundtrip needs --index <= {MAX_INDEX}\n")
+            return 2
         draws = suite_mod.roundtrip_inputs(seed, args.index + 1)
         values["p"], values["r"] = next(islice(draws, args.index, None))
     cell = getattr(suite_mod, "verify_" + args.identity)(**values)

@@ -80,16 +80,11 @@ def fe_poly(n: int, r: int = 1) -> XPoly:
                   for l, h in enumerate(reversed(row[:n + 1]))])
 
 
+@lru_cache(maxsize=None)
 def fe_series(r: int, trunc: int) -> TruncSeries:
     """The series ((e^t - L)/(1 - L))^r that the order-r sequence inverts."""
     base = TruncSeries._raw((ONE,) + (_INV,) * trunc, trunc)
     return base ** r
-
-
-@lru_cache(maxsize=None)
-def cached_series(r: int, trunc: int) -> TruncSeries:
-    """fe_series(r, trunc), memoized."""
-    return fe_series(r, trunc)
 
 
 def _shift_weights(s: int) -> list:
@@ -174,7 +169,7 @@ def lowering_coeff(s: int, l: int) -> LambdaRat:
 # held here, not looked up by name, so that clear_caches reaches the caches
 # even when a module attribute has been rebound to a wrapper; the last is
 # scalar's memo of the rows of (1 - L)^e
-_MEMOS = (fe_poly, cached_series, _delta_coeffs, surjection_sum, lowering_coeff, _one_minus_l_pow)
+_MEMOS = (fe_poly, fe_series, _delta_coeffs, surjection_sum, lowering_coeff, _one_minus_l_pow)
 
 
 class BasisExpansion:

@@ -12,18 +12,19 @@ values coincides with structural (and textual) equality.
   on the tuples, ``math.gcd`` on the content.  The polynomial gcd is
   heuristic (GCDHEU: one big-integer gcd of the two polynomials' values
   at a point, checked by exact division), with the primitive
-  pseudo-remainder sequence as its fallback.  A constant factor scales
-  the content only.  Every denominator splits as q = (1 - L)^e * r with r
-  prime to 1 - L (``_parts``; a power of (1 - L), the denominator of
-  every Frobenius-Euler value, is recognised by its alternating binomial
-  row, memoized by e, and has r = 1).  Sums lift the numerators of the
-  smaller exponents by (1 - L)^(e_max - e) and add; products multiply
-  the numerators and add the exponents.  Then (1 - L) is stripped from
-  the numerator while its coefficients sum to zero, one synthetic
-  division b_i = a_0 + ... + a_i each; by Gauss's lemma the quotient of
-  a primitive polynomial by (1 - L) is primitive with the same lowest
-  coefficient.  Only a nontrivial r costs a gcd, so no gcd runs over
-  powers of (1 - L).
+  pseudo-remainder sequence as its fallback.  A product by a constant
+  scales the content; any other product is ``dot``'s one-term case;
+  construction, ``LambdaRat(num, den)``, is one ``_reduce`` term; every
+  gcd is taken in ``_reduce``.  Every denominator splits as
+  q = (1 - L)^e * r with r prime to 1 - L (``_parts``; a power of
+  (1 - L), the denominator of every Frobenius-Euler value, is recognised
+  by its alternating binomial row, memoized by e, and has r = 1).  Sums
+  lift the numerators of the smaller exponents by (1 - L)^(e_max - e)
+  and add.  Then (1 - L) is stripped from the numerator while its
+  coefficients sum to zero, one synthetic division b_i = a_0 + ... + a_i
+  each; by Gauss's lemma the quotient of a primitive polynomial by
+  (1 - L) is primitive with the same lowest coefficient.  Only a
+  nontrivial r costs a gcd, so no gcd runs over powers of (1 - L).
 * ``dot`` is the n-ary kernel under every sum of products in the layers
   above (XPoly products, shifts and values, series products, J, the
   basis changes and the suite's split sums): the sum of w * x * y over
@@ -289,8 +290,8 @@ def _parts(q) -> tuple:
 
 def _reduce(terms) -> "LambdaRat":
     """The sum of (a / b) * p / ((1 - L)^e * r) over (a, b, p, e, r) terms,
-    in canonical form; r is prime to 1 - L, and p and r need not be
-    reduced against each other.
+    in canonical form; b > 0, r is prime to 1 - L, and p need not be
+    reduced against (1 - L)^e * r.
 
     The contents go over one common integer denominator d, and the
     numerators of equal (r, e) are added.  For each r the sums are lifted,
@@ -488,7 +489,10 @@ class LambdaRat:
 
     Stored as the content ``a / b`` times primitive int tuples ``p / q``
     in the canonical form of the module docstring, so two equal field
-    elements are structurally identical and print identically.
+    elements are structurally identical and print identically.  A product
+    by a constant scales the content; any other product is ``dot``'s
+    one-term case; construction is one ``_reduce`` term; every gcd is
+    taken in ``_reduce``.
     """
 
     __slots__ = ("a", "b", "p", "q")
@@ -498,17 +502,10 @@ class LambdaRat:
         ad, bd, q = _split(den)
         if not q:
             raise ZeroDivisionError("zero denominator in Q(L)")
-        if not p:
-            self.a, self.b, self.p, self.q = 0, 1, (), (1,)
-            return
-        g = _igcd(p, q)
-        if len(g) > 1:
-            p = tuple(_iquo(p, g))
-            q = tuple(_iquo(q, g))
-        a, b = _cmul(an, bn, bd, ad)
-        if b < 0:
-            a, b = -a, -b
-        self.a, self.b, self.p, self.q = a, b, p, q
+        if ad < 0:
+            an, ad = -an, -ad
+        v = _reduce(((an * bd, bn * ad, p, *_parts(q)),))
+        self.a, self.b, self.p, self.q = v.a, v.b, v.p, v.q
 
     @classmethod
     def _make(cls, a: int, b: int, p: tuple, q: tuple) -> "LambdaRat":
@@ -572,32 +569,12 @@ class LambdaRat:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if not self.p or not other.p:
-            return ZERO
-        pa, qa, pb, qb = self.p, self.q, other.p, other.q
-        # the content of a product of primitive polynomials is the
-        # product of the contents (Gauss's lemma)
-        a, b = _cmul(self.a, self.b, other.a, other.b)
         # a constant factor scales the content only
-        if pa == qa == (1,):
-            return LambdaRat._make(a, b, pb, qb)
-        if pb == qb == (1,):
-            return LambdaRat._make(a, b, pa, qa)
-        ea, ra = _parts(qa)
-        eb, rb = _parts(qb)
-        if ra == rb == (1,):
-            # over (1 - L)^ea and (1 - L)^eb: the exponents add
-            pn, e = _strip(_imul(pa, pb), ea + eb)
-            return LambdaRat._make(a, b, tuple(pn), _one_minus_l_pow(e))
-        g1 = _igcd(pa, qb)
-        if len(g1) > 1:
-            pa = _iquo(pa, g1)
-            qb = _iquo(qb, g1)
-        g2 = _igcd(pb, qa)
-        if len(g2) > 1:
-            pb = _iquo(pb, g2)
-            qa = _iquo(qa, g2)
-        return LambdaRat._make(a, b, tuple(_imul(pa, pb)), tuple(_imul(qa, qb)))
+        if self.p == self.q == (1,):
+            return LambdaRat._make(*_cmul(self.a, self.b, other.a, other.b), other.p, other.q)
+        if other.p == other.q == (1,):
+            return LambdaRat._make(*_cmul(self.a, self.b, other.a, other.b), self.p, self.q)
+        return dot(((1, self, other),))
 
     __rmul__ = __mul__
 

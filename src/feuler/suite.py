@@ -43,8 +43,8 @@ from itertools import product
 from math import comb, factorial
 
 from . import frobenius
-from .frobenius import cached_series, fe_numbers, fe_poly, from_fe_basis, j_lambda, to_fe_basis
-from .scalar import LAMBDA, ONE, LambdaPoly, LambdaRat, dot
+from .frobenius import fe_numbers, fe_poly, fe_series, from_fe_basis, j_lambda, to_fe_basis
+from .scalar import LAMBDA, ONE, LambdaPoly, LambdaRat, dot, lrat
 from .umbral import appell_expand
 from .xpoly import X, XPoly
 
@@ -207,9 +207,9 @@ def verify_remark(n: int, r: int) -> Cell:
 def verify_eq15_duality(n: int, k: int, r: int) -> Cell:
     """<g^r t^k | H_n^{(r)}> = n! delta_{n,k}."""
     t0 = time.perf_counter()
-    g = cached_series(r, max(n, k))
+    g = fe_series(r, max(n, k))
     lhs = g.mul_t_power(k).functional(fe_poly(n, r))
-    rhs = LambdaRat(factorial(n) if n == k else 0)
+    rhs = lrat(factorial(n) if n == k else 0)
     return _finish("eq15_duality", {"k": k, "n": n, "r": r}, lhs, rhs, t0)
 
 
@@ -246,7 +246,7 @@ def _draw_poly(rng, max_degree: int, r_cap: int):
         den = _COEFF_DENS[rng.randrange(len(_COEFF_DENS))]
         c = LambdaRat(num, den) * Fraction(rng.randint(1, 3), rng.randint(1, 3))
         if i == deg and c.is_zero:
-            c = LambdaRat(1)
+            c = ONE
         coeffs.append(c)
     r = rng.randint(0, r_cap)
     return XPoly(coeffs), r
@@ -268,7 +268,7 @@ def verify_thm1_roundtrip(index: int, p: XPoly, r: int) -> Cell:
     t0 = time.perf_counter()
     params = {"degree": int(p.degree), "index": index, "r": r}
     e = to_fe_basis(p, r)
-    dual = appell_expand(cached_series(r, max(int(p.degree), 0)), p)
+    dual = appell_expand(fe_series(r, max(int(p.degree), 0)), p)
     if list(e.coefficients) != dual:
         lhs = "; ".join(str(c) for c in e.coefficients)
         rhs = "; ".join(str(c) for c in dual)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .scalar import ONE, ZERO, LambdaRat, dot, lrat
+from .scalar import ONE, ZERO, LambdaRat, _coerce, dot, lrat
 from .xpoly import XPoly
 
 
@@ -29,7 +29,7 @@ class TruncSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs=(), trunc=None):
-        cs = [lrat(c) if not isinstance(c, LambdaRat) else c for c in coeffs]
+        cs = [lrat(c) for c in coeffs]
         if trunc is None:
             trunc = len(cs) - 1
         if trunc < 0:
@@ -99,9 +99,8 @@ class TruncSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            try:
-                s = lrat(other)
-            except TypeError:
+            s = _coerce(other)
+            if s is NotImplemented:
                 return NotImplemented
             return TruncSeries._raw(tuple(c * s for c in self.coeffs), self.trunc)
         n = min(self.trunc, other.trunc)

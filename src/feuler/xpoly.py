@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .scalar import NEG_INF, ONE, ZERO, LambdaPoly, LambdaRat, dot, lrat
-
-
-def _as_scalar(value):
-    if isinstance(value, LambdaRat):
-        return value
-    if isinstance(value, (int, Fraction, LambdaPoly)):
-        return lrat(value)
-    return None
+from .scalar import NEG_INF, ONE, ZERO, LambdaRat, _coerce, dot, lrat
 
 
 class XPoly:
@@ -27,12 +18,7 @@ class XPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = []
-        for c in coeffs:
-            s = _as_scalar(c)
-            if s is None:
-                raise TypeError(f"bad coefficient {c!r}")
-            cs.append(s)
+        cs = [lrat(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -89,8 +75,8 @@ class XPoly:
 
     def __add__(self, other):
         if not isinstance(other, XPoly):
-            s = _as_scalar(other)
-            if s is None:
+            s = _coerce(other)
+            if s is NotImplemented:
                 return NotImplemented
             other = XPoly.monomial(0, s)
         a, b = self.coeffs, other.coeffs
@@ -108,8 +94,8 @@ class XPoly:
 
     def __sub__(self, other):
         if not isinstance(other, XPoly):
-            s = _as_scalar(other)
-            if s is None:
+            s = _coerce(other)
+            if s is NotImplemented:
                 return NotImplemented
             other = XPoly.monomial(0, s)
         return self + (-other)
@@ -119,8 +105,8 @@ class XPoly:
 
     def __mul__(self, other):
         if not isinstance(other, XPoly):
-            s = _as_scalar(other)
-            if s is None:
+            s = _coerce(other)
+            if s is NotImplemented:
                 return NotImplemented
             if s.is_zero:
                 return XPoly._raw(())
@@ -136,8 +122,8 @@ class XPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        s = _as_scalar(other)
-        if s is None:
+        s = _coerce(other)
+        if s is NotImplemented:
             return NotImplemented
         return self * s.inverse()
 
@@ -190,8 +176,8 @@ class XPoly:
     def __eq__(self, other):
         if isinstance(other, XPoly):
             return self.coeffs == other.coeffs
-        s = _as_scalar(other)
-        if s is None:
+        s = _coerce(other)
+        if s is NotImplemented:
             return NotImplemented
         if s.is_zero:
             return not self.coeffs

@@ -1,6 +1,7 @@
 """Seeded random value generators shared by the test modules."""
 
 from fractions import Fraction
+from math import gcd
 
 from feuler.scalar import LambdaPoly, LambdaRat
 from feuler.xpoly import XPoly
@@ -32,3 +33,22 @@ def rand_lrat(rng, max_deg=2):
 def rand_xpoly(rng, max_deg=6):
     deg = rng.randint(0, max_deg)
     return XPoly([rand_lrat(rng) for _ in range(deg + 1)])
+
+
+def check_canonical(v):
+    """Assert the canonical form of a LambdaRat: the content a / b in
+    lowest terms with b > 0, and numerator and denominator primitive int
+    polynomials with a positive lowest nonzero coefficient."""
+    assert v.b > 0 and gcd(v.a, v.b) == 1
+    den = v.den.coeffs
+    assert all(c.denominator == 1 for c in den)
+    for p in ([c.numerator for c in den], v.p):
+        if not p:
+            continue
+        g = 0
+        for c in p:
+            g = gcd(g, c)
+        assert g == 1
+        assert next(c for c in p if c) > 0
+    if not v.p:
+        assert (v.a, v.b, v.q) == (0, 1, (1,))

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from feuler import frobenius, suite
+from feuler import cli, frobenius, suite
 from feuler.cli import (
     MAX_DEGREE,
     MAX_DEPTH,
+    MAX_INDEX,
     PolyParseError,
     latex_lrat,
     latex_xpoly,
@@ -223,6 +224,16 @@ def test_cli_convert_limits_exit_2(poly, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+def test_cli_work_limits_are_inclusive(monkeypatch):
+    # the caps lowered, so that a value at the cap is cheap to run
+    monkeypatch.setattr(cli, "MAX_DEGREE", 3)
+    monkeypatch.setattr(cli, "MAX_INDEX", 2)
+    assert run_cli("convert", "--poly", "x", "--order", "3")[0] == 0
+    assert run_cli("convert", "--poly", "x", "--order", "4")[:2] == (2, "")
+    assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "2")[0] == 0
+    assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "3")[:2] == (2, "")
+
+
 def test_parse_limits_are_inclusive():
     deep = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
     assert parse_poly_expr(deep) == X
@@ -342,6 +353,13 @@ def test_cli_verify_roundtrip_seeded():
         (("poly", "--n", "-2"), "--n: must be >= 0"),
         (("convert", "--poly", "x", "--order", "-1"), "--order: must be >= 0"),
         (("convert", "--poly", "1/(1+L)", "--lambda", "-1"), "pole at L = -1"),
+        # past the caps on the work of one call, exit 2 at once
+        (("convert", "--poly", "x", "--order", str(MAX_DEGREE + 1)),
+         f"convert needs --order <= {MAX_DEGREE}"),
+        (("verify", "--identity", "thm1_roundtrip", "--index", str(MAX_INDEX + 1)),
+         f"thm1_roundtrip needs --index <= {MAX_INDEX}"),
+        (("verify", "--identity", "thm1_roundtrip", "--index", "100000000"),
+         f"thm1_roundtrip needs --index <= {MAX_INDEX}"),
         (("numbers", "--n-max", "-1"), "--n-max: must be >= 0"),
     )])
 def test_cli_out_of_domain_exits_2(argv, message):

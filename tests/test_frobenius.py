@@ -477,12 +477,12 @@ def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
 def test_clear_caches_empties_every_memo():
     def values():
         return (fe_numbers(6, 3), fe_poly(6, 2), fe_numbers(6, -2), stirling_lambda(6, 3),
-                lowering_coeff(3, 5), frobenius.cached_series(2, 6))
+                lowering_coeff(3, 5), fe_series(2, 6))
 
     before = values()
     # a memoized polynomial is the same object on every call
     assert fe_poly(5, 2) is fe_poly(5, 2)
-    memos = (fe_poly, frobenius.cached_series, frobenius._delta_coeffs, surjection_sum,
+    memos = (fe_poly, fe_series, frobenius._delta_coeffs, surjection_sum,
              lowering_coeff, scalar._one_minus_l_pow)
     assert set(frobenius._MEMOS) == set(memos)
     assert frobenius._ROWS

@@ -1,12 +1,14 @@
 """Field arithmetic and canonical forms in Q(L)."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from feuler import scalar
+from feuler import cli, frobenius, scalar, suite, umbral, xpoly
 from feuler.scalar import (
     LAMBDA,
     NEG_INF,
@@ -190,3 +192,23 @@ def test_one_minus_l_rows_are_alternating_binomials():
     for e in range(201):
         want = tuple(-comb(e, k) if k & 1 else comb(e, k) for k in range(e + 1))
         assert scalar._one_minus_l_pow(e) == want, e
+
+
+def test_every_polynomial_gcd_is_taken_in_reduce(monkeypatch):
+    # one canonicaliser: construction, products and sums all reduce
+    # through _reduce, so no other function calls _igcd, and no other
+    # module holds a binding of it that the spy would miss
+    callers = Counter()
+    igcd = scalar._igcd
+
+    def spy(a, b):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return igcd(a, b)
+
+    for mod in (xpoly, umbral, frobenius, suite, cli):
+        assert not hasattr(mod, "_igcd"), mod.__name__
+    monkeypatch.setattr(scalar, "_igcd", spy)
+    frobenius.clear_caches()
+    assert suite.run_suite(6, 3, 3).ok
+    assert callers["_reduce"]
+    assert set(callers) <= {"_reduce", "_igcd"}, callers

@@ -17,15 +17,17 @@ from sympy.polys.fields import field  # noqa: E402
 
 from feuler.frobenius import fe_numbers  # noqa: E402
 from feuler.scalar import LambdaPoly, LambdaRat, _imul, _parts, dot, lrat  # noqa: E402
-from genutil import rand_lpoly, rand_lrat, times_one_minus_l  # noqa: E402
+from genutil import check_canonical, rand_lpoly, rand_lrat, times_one_minus_l  # noqa: E402
 
 K, L = field("L", QQ)
 
 
+def sympy_poly(cs):
+    return sum((QQ(c.numerator, c.denominator) * L ** i for i, c in enumerate(cs)), K.zero)
+
+
 def to_sympy(v):
-    def poly(cs):
-        return sum((QQ(c.numerator, c.denominator) * L ** i for i, c in enumerate(cs)), K.zero)
-    out = poly(v.num.coeffs) / poly(v.den.coeffs)
+    out = sympy_poly(v.num.coeffs) / sympy_poly(v.den.coeffs)
     # SymPy cancels common factors: a denominator it shortens was unreduced
     assert out.denom.degree() == len(v.den.coeffs) - 1, v
     return out
@@ -160,6 +162,92 @@ def test_sums_over_distinct_r_match_sympy():
         a, b = (_over_r(rng, picks) for picks in _distinct_r_picks(rng)[:2])
         assert to_sympy(a + b) == to_sympy(a) + to_sympy(b)
         assert to_sympy(a - b) == to_sympy(a) - to_sympy(b)
+
+
+def from_sympy(f):
+    # rebuilt from SymPy's reduced numerator and denominator
+    def poly(p):
+        cs = dict(p)
+        return LambdaPoly([Fraction(int(cs[(i,)].numerator), int(cs[(i,)].denominator))
+                           if (i,) in cs else 0 for i in range(p.degree() + 1)])
+    return LambdaRat(poly(f.numer), poly(f.denom))
+
+
+def assert_same(u, v):
+    assert u == v
+    assert str(u) == str(v)
+    assert hash(u) == hash(v)
+
+
+def _factors(rng):
+    # a product of up to three of 1 + L, 2 - L, 1 + L^2, 3 + L, times
+    # (1 - L)^e with e <= 3
+    out = times_one_minus_l([1], rng.randint(0, 3))
+    for _ in range(rng.randint(0, 3)):
+        out = _imul(out, _R_FACTORS[rng.randrange(4)])
+    return out
+
+
+def _scaled(rng, coeffs):
+    # coeffs times a rational of either sign
+    f = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+    return LambdaPoly([f * c for c in coeffs])
+
+
+def test_constructor_cancels_shared_factors_like_sympy():
+    # num / den sharing factors, the denominator's content of either sign,
+    # a third of the denominators carrying L or L^2; every reduction is
+    # _reduce's, checked against SymPy's and against the value rebuilt
+    # from SymPy's reduced form
+    rng = random.Random(1212)
+    for i in range(150):
+        shared = _factors(rng)
+        num = _imul(_imul(rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs, shared),
+                    _factors(rng))
+        den = _imul(_factors(rng), shared)
+        if i % 3 == 0:
+            den = [0] * rng.randint(1, 2) + den
+            if rng.random() < 0.5:
+                num = [0] + num
+        num, den = _scaled(rng, num), _scaled(rng, den)
+        v = LambdaRat(num, den)
+        check_canonical(v)
+        want = sympy_poly(num.coeffs) / sympy_poly(den.coeffs)
+        assert to_sympy(v) == want
+        assert_same(v, from_sympy(want))
+        assert_same(v, LambdaRat(num) / LambdaRat(den))
+
+
+def test_products_cancel_across_operands_like_sympy():
+    # x = A ry (1 - L)^j / (rx (1 - L)^e) and y = B rx (1 - L)^k / (ry (1 - L)^f),
+    # j <= f and k <= e: x's numerator cancels y's denominator and y's
+    # numerator cancels x's, with rx and ry over disjoint factors so that
+    # neither operand cancels on its own
+    rng = random.Random(1213)
+    for _ in range(150):
+        picks = list(range(4))
+        rng.shuffle(picks)
+        cut = rng.randint(1, 3)
+        rx, ry = [1], [1]
+        for i in picks[:cut]:
+            rx = _imul(rx, _R_FACTORS[i])
+        for i in picks[cut:]:
+            ry = _imul(ry, _R_FACTORS[i])
+        e, f = rng.randint(0, 4), rng.randint(0, 4)
+
+        def operand(r_num, k, r_den, d):
+            a = rand_lpoly(rng, max_deg=2, zero_ok=False).coeffs
+            num = times_one_minus_l(_imul(a, r_num), k)
+            return LambdaRat(_scaled(rng, num), LambdaPoly(times_one_minus_l(r_den, d)))
+
+        x = operand(ry, rng.randint(0, f), rx, e)
+        y = operand(rx, rng.randint(0, e), ry, f)
+        xy = x * y
+        check_canonical(xy)
+        want = to_sympy(x) * to_sympy(y)
+        assert to_sympy(xy) == want
+        assert_same(xy, y * x)
+        assert_same(xy, from_sympy(want))
 
 
 def _positive_order_numbers(s: int, n_max: int) -> list:

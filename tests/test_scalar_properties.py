@@ -19,7 +19,7 @@ from feuler.scalar import (  # noqa: E402
     LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, dot,
     lrat)
 from feuler.xpoly import XPoly  # noqa: E402
-from genutil import times_one_minus_l  # noqa: E402
+from genutil import check_canonical, times_one_minus_l  # noqa: E402
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 polys = st.lists(coeffs, max_size=4).map(LambdaPoly)
@@ -100,18 +100,6 @@ def test_multiply_then_divide_restores(a, b):
 @given(xpolys, lrats)
 def test_shift_there_and_back_restores(p, y):
     assert_same(p.shift(y).shift(-y), p)
-
-
-def check_canonical(v):
-    # the content a / b is in lowest terms with b > 0
-    assert v.b > 0 and gcd(v.a, v.b) == 1
-    den = v.den.coeffs
-    assert all(c.denominator == 1 for c in den)
-    g = 0
-    for c in den:
-        g = gcd(g, c.numerator)
-    assert g == 1
-    assert next(c for c in den if c) > 0
 
 
 @seeded
