@@ -89,9 +89,10 @@ def fe_series(r: int, trunc: int) -> TruncSeries:
 
 def _shift_weights(s: int) -> list:
     """w_j = (-L)^{s-j} / (1-L)^s for j = 0..s, the weights of the shifts
-    p(x + j) in J^s and in the evaluation formula of ``to_fe_basis``."""
-    inv = _INV ** s
-    return [(-LAMBDA) ** (s - j) * inv for j in range(s + 1)]
+    p(x + j) in J^s and in the evaluation formula of ``to_fe_basis``.
+    L^(s-j) is prime to (1 - L)^s, so each is built in canonical form."""
+    q = _one_minus_l_pow(s)
+    return [LambdaRat._make((-1) ** (s - j), 1, (0,) * (s - j) + (1,), q) for j in range(s + 1)]
 
 
 def j_lambda(p: XPoly, s: int = 1) -> XPoly:

@@ -9,8 +9,8 @@ the same type that is structurally equal (canonical form makes the
 string a function of the value); other right sides are printed and the
 strings compared.  A report is a deterministically ordered list
 of cells plus a summary; serialized reports from a serial run and a
-parallel run are byte-identical because cell timings are normalized to
-zero at the report level.
+parallel run are byte-identical because no cell is timed: a cell's
+``elapsed_us`` field keeps its default 0.
 
 ``IDENTITIES`` describes every identity once: the arguments of its
 ``verify_<id>`` function and the grid a report runs it over.  Both
@@ -37,14 +37,13 @@ closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
 from . import frobenius
 from .frobenius import fe_numbers, fe_poly, fe_series, from_fe_basis, j_lambda, to_fe_basis
-from .scalar import LAMBDA, ONE, LambdaPoly, LambdaRat, dot, lrat
+from .scalar import LAMBDA, ONE, LambdaRat, dot, lrat
 from .umbral import appell_expand
 from .xpoly import X, XPoly
 
@@ -116,7 +115,7 @@ class Cell:
         })
 
 
-def _finish(identity, params, lhs, rhs, t0) -> Cell:
+def _finish(identity, params, lhs, rhs) -> Cell:
     # the two sides are values or strings; equal values of one type print
     # one string, so an equal right side is not printed again
     text = str(lhs)
@@ -125,8 +124,7 @@ def _finish(identity, params, lhs, rhs, t0) -> Cell:
     else:
         other = str(rhs)
         status = "equal" if text == other else "mismatch"
-    elapsed = int((time.perf_counter() - t0) * 1_000_000)
-    return Cell(identity, params, status, text, other, elapsed)
+    return Cell(identity, params, status, text, other)
 
 
 def _split_sum_polys(n: int, r: int, s: int) -> XPoly:
@@ -145,35 +143,31 @@ def _split_sum_numbers(n: int, r: int, s: int) -> LambdaRat:
 
 def verify_thm2(n: int, r: int, s: int) -> Cell:
     """Order lowering: H_n^{(r-s)}(x|L) equals the split bracket sum."""
-    t0 = time.perf_counter()
     lhs = fe_poly(n, r - s)
     rhs = _split_sum_polys(n, r, s)
-    return _finish("thm2", {"n": n, "r": r, "s": s}, lhs, rhs, t0)
+    return _finish("thm2", {"n": n, "r": r, "s": s}, lhs, rhs)
 
 
 def verify_cor3(n: int, r: int) -> Cell:
     """Lowering order r to 1: the split sum with s = r - 1."""
-    t0 = time.perf_counter()
     if r < 1:
         return Cell("cor3", {"n": n, "r": r}, "skipped", "", "needs r >= 1")
     lhs = fe_poly(n, 1)
     rhs = _split_sum_polys(n, r, r - 1)
-    return _finish("cor3", {"n": n, "r": r}, lhs, rhs, t0)
+    return _finish("cor3", {"n": n, "r": r}, lhs, rhs)
 
 
 def verify_cor4(n: int, r: int) -> Cell:
     """Lowering order r to 0: x^n equals the split sum with s = r."""
-    t0 = time.perf_counter()
     if r < 1:
         return Cell("cor4", {"n": n, "r": r}, "skipped", "", "needs r >= 1")
     lhs = X ** n
     rhs = _split_sum_polys(n, r, r)
-    return _finish("cor4", {"n": n, "r": r}, lhs, rhs, t0)
+    return _finish("cor4", {"n": n, "r": r}, lhs, rhs)
 
 
 def verify_thm5(n: int, r: int) -> Cell:
     """Three expressions for r!/(1-L)^r S_L(n,r) agree (s = 2r at x = 0)."""
-    t0 = time.perf_counter()
     e1 = frobenius.stirling_lambda(n, r) * factorial(r) * _ONE_MINUS ** (-r)
     e2 = _split_sum_numbers(n, r, 2 * r)
     e3 = frobenius.lowering_coeff(r, n)
@@ -181,68 +175,57 @@ def verify_thm5(n: int, r: int) -> Cell:
     differ = [f"{name}: {e}" for name, e in (("split_sum", e2), ("lowering_coeff", e3))
               if e != e1]
     rhs = "; ".join(differ) if differ else e1
-    return _finish("thm5", {"n": n, "r": r}, e1, rhs, t0)
+    return _finish("thm5", {"n": n, "r": r}, e1, rhs)
 
 
 def verify_thm6(n: int, r: int) -> Cell:
     """(r-1)!/(1-L)^{r-1} S_L(n,r-1) equals the split sum with s = 2r - 1."""
-    t0 = time.perf_counter()
     if r < 1:
         return Cell("thm6", {"n": n, "r": r}, "skipped", "", "needs r >= 1")
     e1 = frobenius.stirling_lambda(n, r - 1) * factorial(r - 1) * _ONE_MINUS ** (1 - r)
     e2 = _split_sum_numbers(n, r, 2 * r - 1)
-    return _finish("thm6", {"n": n, "r": r}, e1, e2, t0)
+    return _finish("thm6", {"n": n, "r": r}, e1, e2)
 
 
 def verify_remark(n: int, r: int) -> Cell:
     """Same scalar via order-1 numbers: the split sum with s = r, order 1."""
-    t0 = time.perf_counter()
     if r < 1:
         return Cell("remark", {"n": n, "r": r}, "skipped", "", "needs r >= 1")
     e1 = frobenius.stirling_lambda(n, r - 1) * factorial(r - 1) * _ONE_MINUS ** (1 - r)
     e2 = _split_sum_numbers(n, 1, r)
-    return _finish("remark", {"n": n, "r": r}, e1, e2, t0)
+    return _finish("remark", {"n": n, "r": r}, e1, e2)
 
 
 def verify_eq15_duality(n: int, k: int, r: int) -> Cell:
     """<g^r t^k | H_n^{(r)}> = n! delta_{n,k}."""
-    t0 = time.perf_counter()
     g = fe_series(r, max(n, k))
     lhs = g.mul_t_power(k).functional(fe_poly(n, r))
     rhs = lrat(factorial(n) if n == k else 0)
-    return _finish("eq15_duality", {"k": k, "n": n, "r": r}, lhs, rhs, t0)
+    return _finish("eq15_duality", {"k": k, "n": n, "r": r}, lhs, rhs)
 
 
 def verify_eq12_ladder(n: int, r: int) -> Cell:
     """d/dx H_n^{(r)} = n H_{n-1}^{(r)}."""
-    t0 = time.perf_counter()
     lhs = fe_poly(n, r).derivative()
     rhs = n * fe_poly(n - 1, r) if n else XPoly([])
-    return _finish("eq12_ladder", {"n": n, "r": r}, lhs, rhs, t0)
+    return _finish("eq12_ladder", {"n": n, "r": r}, lhs, rhs)
 
 
 def verify_eq22_ladder(n: int, r: int) -> Cell:
     """J H_n^{(r)} = H_n^{(r-1)}."""
-    t0 = time.perf_counter()
     lhs = j_lambda(fe_poly(n, r))
     rhs = fe_poly(n, r - 1)
-    return _finish("eq22_ladder", {"n": n, "r": r}, lhs, rhs, t0)
+    return _finish("eq22_ladder", {"n": n, "r": r}, lhs, rhs)
 
 
-_COEFF_DENS = (
-    LambdaPoly([1]),
-    LambdaPoly([1, -1]),
-    LambdaPoly([1, -2, 1]),
-    LambdaPoly([1, 1]),
-    LambdaPoly([2, -1]),
-)
+_COEFF_DENS = ((1,), (1, -1), (1, -2, 1), (1, 1), (2, -1))
 
 
 def _draw_poly(rng, max_degree: int, r_cap: int):
     deg = rng.randint(0, max_degree)
     coeffs = []
     for i in range(deg + 1):
-        num = LambdaPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
         den = _COEFF_DENS[rng.randrange(len(_COEFF_DENS))]
         c = LambdaRat(num, den) * Fraction(rng.randint(1, 3), rng.randint(1, 3))
         if i == deg and c.is_zero:
@@ -265,15 +248,14 @@ def roundtrip_inputs(seed: int, count: int, max_degree: int = 10, r_cap: int = 4
 def verify_thm1_roundtrip(index: int, p: XPoly, r: int) -> Cell:
     """Basis coefficients of round-trip input `index` agree across the
     evaluation and functional routes, and recombining them restores p."""
-    t0 = time.perf_counter()
     params = {"degree": int(p.degree), "index": index, "r": r}
     e = to_fe_basis(p, r)
     dual = appell_expand(fe_series(r, max(int(p.degree), 0)), p)
     if list(e.coefficients) != dual:
         lhs = "; ".join(str(c) for c in e.coefficients)
         rhs = "; ".join(str(c) for c in dual)
-        return _finish("thm1_roundtrip", params, lhs, rhs, t0)
-    return _finish("thm1_roundtrip", params, p, from_fe_basis(e), t0)
+        return _finish("thm1_roundtrip", params, lhs, rhs)
+    return _finish("thm1_roundtrip", params, p, from_fe_basis(e))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +353,9 @@ def run_suite(n_max: int = 10, r_max: int = 4, s_max: int = 4,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> VerificationReport:
     """Evaluate the full identity grid and collect a report.
 
-    Cell order is deterministic (identity id, then parameters); reported
-    timings are normalized to zero so equal grids serialize identically
-    no matter how the work was scheduled.
+    Cell order is deterministic (identity id, then parameters) and no cell
+    is timed, so equal grids serialize identically no matter how the work
+    was scheduled.
     """
     tasks = _plan(n_max, r_max, s_max, seed)
     if jobs > 1:
@@ -383,7 +365,5 @@ def run_suite(n_max: int = 10, r_max: int = 4, s_max: int = 4,
             cells = list(ex.map(_eval_task, tasks, chunksize=32))
     else:
         cells = [_eval_task(t) for t in tasks]
-    for c in cells:
-        c.elapsed_us = 0
     grid = {"n_max": n_max, "r_max": r_max, "s_max": s_max}
     return VerificationReport(cells=cells, grid=grid)

@@ -2,9 +2,11 @@
 
 A series f(t) = sum_k a_k t^k / k! is kept as the tuple of its divided
 coefficients a_0..a_N together with the truncation bound N.  In this
-representation the pairing with polynomials is a plain dot product
-(<f | x^n> = a_n), multiplication is binomial convolution, and applying
-f as an operator differentiates: t^k acts on p as the k-th derivative.
+representation multiplication is binomial convolution and the pairing
+with polynomials is a plain dot product (<f | x^n> = a_n): ``functional``
+is f as a linear functional on ``XPoly``.  As an operator t^k acts on p
+as the k-th derivative, and ``appell_expand(g, p)`` is the coefficient
+list of g(t)p(x), which is p in the Appell basis of g.
 """
 
 from __future__ import annotations
@@ -52,26 +54,6 @@ class TruncSeries:
     def one(cls, trunc: int) -> "TruncSeries":
         return cls._raw((ONE,) + (ZERO,) * trunc, trunc)
 
-    @classmethod
-    def exponential(cls, y, trunc: int) -> "TruncSeries":
-        """e^{yt}: divided coefficients are the powers of y."""
-        y = lrat(y)
-        cs = [ONE]
-        for _ in range(trunc):
-            cs.append(cs[-1] * y)
-        return cls._raw(tuple(cs), trunc)
-
-    @classmethod
-    def t_power(cls, k: int, trunc: int) -> "TruncSeries":
-        if k > trunc:
-            raise TruncationError(f"t^{k} is not representable below order {trunc}")
-        cs = [ZERO] * (trunc + 1)
-        f = 1
-        for i in range(2, k + 1):
-            f *= i
-        cs[k] = lrat(f)
-        return cls._raw(tuple(cs), trunc)
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -79,23 +61,6 @@ class TruncSeries:
 
     def __hash__(self):
         return hash((self.coeffs, self.trunc))
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        return TruncSeries._raw(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)), n)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        return TruncSeries._raw(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)), n)
-
-    def __neg__(self):
-        return TruncSeries._raw(tuple(-c for c in self.coeffs), self.trunc)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
@@ -156,18 +121,6 @@ class TruncSeries:
                 f"need {d} series coefficients, kept {self.trunc}")
         return dot((1, a, c) for a, c in zip(self.coeffs, p.coeffs))
 
-    def operate(self, p: XPoly) -> XPoly:
-        """f(t) applied to p(x); t^k differentiates k times."""
-        d = len(p.coeffs) - 1
-        if d > self.trunc:
-            raise TruncationError(
-                f"need {d} series coefficients, kept {self.trunc}")
-        if p.is_zero:
-            return p
-        a, cs = self.coeffs, p.coeffs
-        return XPoly._trimmed([dot((comb(n, j), a[n - j], cs[n]) for n in range(j, d + 1))
-                               for j in range(d + 1)])
-
     def __str__(self):
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -209,8 +162,9 @@ def appell_sequence(g: TruncSeries, n_max: int) -> list:
 def appell_expand(g: TruncSeries, p: XPoly) -> list:
     """Coefficients of p in the Appell basis of g.
 
-    C_k = <g(t) t^k | p> / k!, returned for k = 0..deg p, so that
-    p = sum_k C_k s_k.  The zero polynomial has no coefficients.
+    C_k = <g(t) t^k | p> / k!, the coefficient of x^k in g(t)p(x),
+    returned for k = 0..deg p, so that p = sum_k C_k s_k.  The zero
+    polynomial has no coefficients.
     """
     if p.is_zero:
         return []

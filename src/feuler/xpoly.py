@@ -59,14 +59,6 @@ class XPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    @property
-    def leading_coeff(self) -> LambdaRat:
-        return self.coeffs[-1] if self.coeffs else ZERO
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
-
     def coeff(self, k: int) -> LambdaRat:
         """Coefficient of x^k."""
         if 0 <= k < len(self.coeffs):
@@ -120,12 +112,6 @@ class XPoly:
         return XPoly._trimmed(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        s = _coerce(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return self * s.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

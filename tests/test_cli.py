@@ -53,7 +53,7 @@ def test_parse_rational_is_greedy():
     assert parse_poly_expr("3/2^2") == XPoly.const(Fraction(9, 4))
     # a second '/' is division, not part of the literal
     assert parse_poly_expr("3/2/3") == XPoly.const(Fraction(1, 2))
-    assert parse_poly_expr("x/2") == X / 2
+    assert parse_poly_expr("x/2") == X * Fraction(1, 2)
 
 
 def test_parse_unary_minus():
@@ -77,7 +77,7 @@ def test_parse_division_guards():
     with pytest.raises(PolyParseError):
         parse_poly_expr("1/0")
     # dividing by an x-free scalar is fine
-    assert parse_poly_expr("x / (1 - L)") == X / (ONE - LAMBDA)
+    assert parse_poly_expr("x / (1 - L)") == X * (ONE - LAMBDA).inverse()
 
 
 def test_parse_error_positions():
@@ -361,11 +361,96 @@ def test_cli_verify_roundtrip_seeded():
         (("verify", "--identity", "thm1_roundtrip", "--index", "100000000"),
          f"thm1_roundtrip needs --index <= {MAX_INDEX}"),
         (("numbers", "--n-max", "-1"), "--n-max: must be >= 0"),
+        # each used to end in a TypeError traceback, or in JSON for --format
+        (("poly", "--n=--"), "'--' is not an option value"),
+        (("numbers", "--lambda=--"), "'--' is not an option value"),
+        (("numbers", "--format=--"), "'--' is not an option value"),
+        (("suite", "--n-max=--"), "'--' is not an option value"),
     )])
 def test_cli_out_of_domain_exits_2(argv, message):
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+def _argv_strategy():
+    """argv for every command: grammar expressions nested past MAX_DEPTH and
+    powers past MAX_DEGREE, malformed strings, and small or out-of-domain
+    numbers.  Numbers stay small, so that every run is cheap: no command
+    caps --n or --n-max, and a constant past 4300 digits cannot be printed
+    (see the xfail test below), so free-form expressions are at most 8
+    characters, too short to build one."""
+    from hypothesis import strategies as st
+
+    small = st.integers(-3, 6).map(str)
+    word = st.sampled_from(["", "x", "1.5", "1/2", "--", "1e3", " 3", "\u0663", "\u00b2"])
+    number = st.one_of(small, word)
+    lam = st.sampled_from(["1", "-1", "2", "1/2", "-3", "1/0", "x", "0"])
+    fmt = st.sampled_from(["plain", "latex", "csv", "json", "xml"])
+    exponent = st.one_of(st.integers(0, 3), st.integers(MAX_DEGREE + 1, 10 * MAX_DEGREE))
+    atom = st.one_of(st.sampled_from(["x", "L", "0", "(1 - L)", "(x + L)"]),
+                     st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 9)),
+                     st.integers(0, 99).map(str))
+    leaf = st.one_of(atom, st.builds("{}^{}".format, atom, exponent))
+    expr = st.recursive(leaf, lambda e: st.one_of(
+        st.builds("({})".format, e),
+        st.builds("-{}".format, e),
+        st.builds("{} {} {}".format, e, st.sampled_from("+-*/"), e),
+    ), max_leaves=6)
+    nested = st.builds(lambda d, e, minus: ("-" * d + e) if minus else "(" * d + e + ")" * d,
+                       st.sampled_from([MAX_DEPTH, MAX_DEPTH + 1, 10 * MAX_DEPTH]),
+                       expr, st.booleans())
+    poly = st.one_of(expr, st.text(alphabet="xL0123456789+-*/^() ", max_size=8),
+                     st.text(max_size=8))
+    convert_options = {"--order": st.one_of(number, st.just(str(MAX_DEGREE + 1))),
+                       "--lambda": lam, "--format": fmt}
+
+    def command(name, required, optional):
+        # each optional flag is passed or left out; --flag=value passes a
+        # value that starts with '-' as a value
+        flags = st.fixed_dictionaries(required, optional=optional)
+        return st.builds(lambda args: [name] + [f"{flag}={value}" for flag, value in args.items()],
+                         flags)
+
+    return st.one_of(
+        command("numbers", {}, {"--n-max": number, "--order": number, "--lambda": lam,
+                                "--format": fmt}),
+        command("poly", {"--n": number}, {"--order": number, "--lambda": lam, "--format": fmt}),
+        command("convert", {"--poly": poly}, convert_options),
+        command("convert", {"--poly": nested}, convert_options),
+        command("stirling", {"--n": number, "--k": number}, {"--lambda": lam, "--format": fmt}),
+        command("verify", {"--identity": st.sampled_from(suite.IDENTITY_IDS + ("nope",)),
+                           "--n": small, "--r": small},
+                {"--s": number, "--k": number,
+                 "--index": st.one_of(small, st.just(str(MAX_INDEX + 1))),
+                 "--seed": small, "--format": fmt}),
+        command("suite", {"--jobs": st.sampled_from(["1", "0"]),
+                          "--n-max": st.sampled_from(["0", "1", "2", "-1"])},
+                {"--r-max": st.sampled_from(["0", "1", "2", "x"]),
+                 "--s-max": st.sampled_from(["0", "2"]), "--seed": small, "--format": fmt}),
+        st.lists(st.one_of(st.sampled_from(["numbers", "suite", "--format", "-x"]), word),
+                 max_size=4),
+    )
+
+
+def test_cli_main_exits_0_or_2_on_any_argv():
+    # every command in-process: a traceback would escape run_cli, and exit 1
+    # (a mismatching cell) cannot come from working code
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(argv=_argv_strategy())
+    def check(argv):
+        code, _, err = run_cli(*argv)
+        assert code in (0, 2), (argv, err)
+
+    check()
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="str() of an int past 4300 digits raises; constant powers are not capped")
+def test_cli_convert_of_a_constant_past_4300_digits_exits_2():
+    assert run_cli("convert", "--poly", "(9^999)^9")[0] == 2
 
 
 def test_cli_verify_r_domains():
@@ -402,7 +487,7 @@ def test_cli_verify_index_is_roundtrip_input():
                                    str(index), "--seed", str(seed), "--format", "json")
             cell = suite.verify_thm1_roundtrip(index, *inputs[index])
             assert code == 0
-            assert _sans_timing(out) == _sans_timing(cell.to_json())
+            assert out == cell.to_json() + "\n"
 
 
 def test_cli_verify_index_holds_one_roundtrip_input(monkeypatch):
@@ -426,12 +511,6 @@ def test_cli_verify_index_holds_one_roundtrip_input(monkeypatch):
     assert (got["p"], got["r"]) == list(suite.roundtrip_inputs(suite.DEFAULT_SEED, 501))[500]
 
 
-def _sans_timing(text):
-    obj = json.loads(text)
-    obj.pop("elapsed_us")
-    return obj
-
-
 def test_cli_env_seed_overrides_flag(monkeypatch):
     code, flagged, _ = run_cli("verify", "--identity", "thm1_roundtrip",
                                "--index", "7", "--seed", "99", "--format", "json")
@@ -440,8 +519,7 @@ def test_cli_env_seed_overrides_flag(monkeypatch):
     code, env_out, _ = run_cli("verify", "--identity", "thm1_roundtrip",
                                "--index", "7", "--format", "json")
     assert code == 0
-    # single-cell verify keeps its real timing; everything else must match
-    assert _sans_timing(env_out) == _sans_timing(flagged)
+    assert env_out == flagged
     monkeypatch.setenv("FEULER_SEED", "banana")
     code, _, err = run_cli("verify", "--identity", "thm1_roundtrip",
                            "--index", "7")

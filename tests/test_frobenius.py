@@ -35,7 +35,7 @@ from feuler.frobenius import (
 )
 
 from feuler.suite import DEFAULT_SEED, roundtrip_inputs
-from genutil import rand_lrat, rand_xpoly
+from genutil import check_canonical, rand_lrat, rand_xpoly
 
 L = LAMBDA
 ONE_MINUS = ONE - L
@@ -227,7 +227,7 @@ def test_polys_monic_of_degree_n():
         for n in range(7):
             p = fe_poly(n, r)
             assert p.degree == n
-            assert p.is_monic
+            assert p.coeffs[-1] == ONE
 
 
 def test_first_polys_frozen():
@@ -262,6 +262,18 @@ def test_j_lambda_matches_operator_iteration():
     assert j_lambda(p, 0) is p
     with pytest.raises(ValueError):
         j_lambda(p, -1)
+
+
+def test_shift_weights_match_the_product_formula():
+    # each weight is built in canonical form; the product it replaces,
+    # (-L)^(s-j) times (1/(1 - L))^s, reduces to the same value
+    inv = ONE_MINUS.inverse()
+    for s in range(13):
+        weights = frobenius._shift_weights(s)
+        assert len(weights) == s + 1
+        for j, w in enumerate(weights):
+            check_canonical(w)
+            assert w == (-L) ** (s - j) * inv ** s
 
 
 def test_j_ladder_connects_orders():
