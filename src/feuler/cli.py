@@ -30,8 +30,9 @@ from .xpoly import X, XPoly
 
 
 MAX_DEPTH = 100  # parentheses and unary minus signs, counted together
-MAX_DEGREE = 1000  # of a power, in x and in L, and of its exponent; and convert's --order
+MAX_DEGREE = 1000  # of a power in x and L and its exponent; convert's --order; stirling's --n, --k
 MAX_INDEX = 9999  # of verify's thm1_roundtrip --index: each earlier input is drawn first
+MAX_ROW = 400  # numbers' --n-max and poly's --n: about 2 s and 50 MB of output at the cap
 
 
 class PolyParseError(ValueError):
@@ -269,6 +270,14 @@ def _emit_row(args, header, row, latex) -> str:
     return _emit_table(args, header, [row], [latex], dict(zip(header, row)))
 
 
+def _over_cap(command: str, option: str, value: int, cap: int) -> bool:
+    """A value past a cap on the work of one call, reported; the call exits 2."""
+    if value <= cap:
+        return False
+    sys.stderr.write(f"error: {command} needs {option} <= {cap}\n")
+    return True
+
+
 def _cells_csv(cells) -> str:
     return _csv_text(("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
                      [(c.identity, suite_mod._json_text(c.params, sort_keys=True), c.status,
@@ -276,6 +285,8 @@ def _cells_csv(cells) -> str:
 
 
 def _cmd_numbers(args, seed: int) -> int:
+    if _over_cap("numbers", "--n-max", args.n_max, MAX_ROW):
+        return 2
     r = args.order
     values = frobenius.fe_numbers(args.n_max, r)
     at = "(\\lambda)"
@@ -290,6 +301,8 @@ def _cmd_numbers(args, seed: int) -> int:
 
 
 def _cmd_poly(args, seed: int) -> int:
+    if _over_cap("poly", "--n", args.n, MAX_ROW):
+        return 2
     p = frobenius.fe_poly(args.n, args.order)
     if args.lam is not None:
         p = XPoly([lrat(c.evaluate(args.lam)) for c in p.coeffs])
@@ -299,8 +312,7 @@ def _cmd_poly(args, seed: int) -> int:
 
 
 def _cmd_convert(args, seed: int) -> int:
-    if args.order > MAX_DEGREE:
-        sys.stderr.write(f"error: convert needs --order <= {MAX_DEGREE}\n")
+    if _over_cap("convert", "--order", args.order, MAX_DEGREE):
         return 2
     try:
         p = parse_poly_expr(args.poly)
@@ -324,6 +336,9 @@ def _cmd_convert(args, seed: int) -> int:
 
 
 def _cmd_stirling(args, seed: int) -> int:
+    if any(_over_cap("stirling", option, value, MAX_DEGREE)
+           for option, value in (("--n", args.n), ("--k", args.k))):
+        return 2
     v = frobenius.stirling_lambda(args.n, args.k)
     if args.lam is not None:
         v = v.evaluate(args.lam)
@@ -341,8 +356,7 @@ def _cmd_verify(args, seed: int) -> int:
         sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
         return 2
     if args.identity == "thm1_roundtrip":
-        if args.index > MAX_INDEX:
-            sys.stderr.write(f"error: thm1_roundtrip needs --index <= {MAX_INDEX}\n")
+        if _over_cap(args.identity, "--index", args.index, MAX_INDEX):
             return 2
         draws = suite_mod.roundtrip_inputs(seed, args.index + 1)
         values["p"], values["r"] = next(islice(draws, args.index, None))

@@ -7,6 +7,12 @@ with polynomials is a plain dot product (<f | x^n> = a_n): ``functional``
 is f as a linear functional on ``XPoly``.  As an operator t^k acts on p
 as the k-th derivative, and ``appell_expand(g, p)`` is the coefficient
 list of g(t)p(x), which is p in the Appell basis of g.
+
+A negative power f^-k is the reciprocal of f^k, taken last.  The two
+orders agree, but powering first multiplies small operands: for the
+Frobenius-Euler series f = (e^t - L)/(1 - L) the coefficients of f^k
+have numerators of degree below k, while those of 1/f grow with their
+index, so inverting first would make every product dense by dense.
 """
 
 from __future__ import annotations
@@ -88,11 +94,14 @@ class TruncSeries:
                 out[m] = c * f
         return TruncSeries._raw(tuple(out), self.trunc)
 
+    def _require_unit(self):
+        if self.coeffs[0].is_zero:
+            raise NotInvertibleError("series of order >= 1 has no reciprocal")
+
     def recip(self) -> "TruncSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
+        self._require_unit()
         a = self.coeffs
-        if a[0].is_zero:
-            raise NotInvertibleError("series of order >= 1 has no reciprocal")
         b0 = a[0].inverse()
         out = [b0]
         for n in range(1, self.trunc + 1):
@@ -100,18 +109,21 @@ class TruncSeries:
         return TruncSeries._raw(tuple(out), self.trunc)
 
     def __pow__(self, n: int):
-        base = self
+        """f^n by binary powering; f^-n is the reciprocal of f^n, taken
+        last, so that the products pair small operands (see the module
+        docstring).  A series with no reciprocal fails before any product."""
         if n < 0:
-            base = self.recip()
-            n = -n
-        out = TruncSeries.one(base.trunc)
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
+            self._require_unit()
+        k, base, out = abs(n), self, None
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
                 base = base * base
-        return out
+        if out is None:
+            return TruncSeries.one(self.trunc)
+        return out.recip() if n < 0 else out
 
     def functional(self, p: XPoly) -> LambdaRat:
         """<f | p>: the linear functional with <t^k | x^n> = n! delta."""

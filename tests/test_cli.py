@@ -16,6 +16,7 @@ from feuler.cli import (
     MAX_DEGREE,
     MAX_DEPTH,
     MAX_INDEX,
+    MAX_ROW,
     PolyParseError,
     latex_lrat,
     latex_xpoly,
@@ -228,10 +229,18 @@ def test_cli_work_limits_are_inclusive(monkeypatch):
     # the caps lowered, so that a value at the cap is cheap to run
     monkeypatch.setattr(cli, "MAX_DEGREE", 3)
     monkeypatch.setattr(cli, "MAX_INDEX", 2)
+    monkeypatch.setattr(cli, "MAX_ROW", 2)
     assert run_cli("convert", "--poly", "x", "--order", "3")[0] == 0
     assert run_cli("convert", "--poly", "x", "--order", "4")[:2] == (2, "")
     assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "2")[0] == 0
     assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "3")[:2] == (2, "")
+    assert run_cli("numbers", "--n-max", "2")[0] == 0
+    assert run_cli("numbers", "--n-max", "3")[:2] == (2, "")
+    assert run_cli("poly", "--n", "2")[0] == 0
+    assert run_cli("poly", "--n", "3")[:2] == (2, "")
+    assert run_cli("stirling", "--n", "3", "--k", "3")[0] == 0
+    assert run_cli("stirling", "--n", "4", "--k", "2")[:2] == (2, "")
+    assert run_cli("stirling", "--n", "3", "--k", "4")[:2] == (2, "")
 
 
 def test_parse_limits_are_inclusive():
@@ -360,6 +369,13 @@ def test_cli_verify_roundtrip_seeded():
          f"thm1_roundtrip needs --index <= {MAX_INDEX}"),
         (("verify", "--identity", "thm1_roundtrip", "--index", "100000000"),
          f"thm1_roundtrip needs --index <= {MAX_INDEX}"),
+        (("numbers", "--n-max", str(MAX_ROW + 1)), f"numbers needs --n-max <= {MAX_ROW}"),
+        (("numbers", "--n-max", "999999"), f"numbers needs --n-max <= {MAX_ROW}"),
+        (("poly", "--n", str(MAX_ROW + 1)), f"poly needs --n <= {MAX_ROW}"),
+        (("stirling", "--n", str(MAX_DEGREE + 1), "--k", "2"),
+         f"stirling needs --n <= {MAX_DEGREE}"),
+        (("stirling", "--n", "3", "--k", str(MAX_DEGREE + 1)),
+         f"stirling needs --k <= {MAX_DEGREE}"),
         (("numbers", "--n-max", "-1"), "--n-max: must be >= 0"),
         # each used to end in a TypeError traceback, or in JSON for --format
         (("poly", "--n=--"), "'--' is not an option value"),
@@ -375,11 +391,12 @@ def test_cli_out_of_domain_exits_2(argv, message):
 
 def _argv_strategy():
     """argv for every command: grammar expressions nested past MAX_DEPTH and
-    powers past MAX_DEGREE, malformed strings, and small or out-of-domain
-    numbers.  Numbers stay small, so that every run is cheap: no command
-    caps --n or --n-max, and a constant past 4300 digits cannot be printed
-    (see the xfail test below), so free-form expressions are at most 8
-    characters, too short to build one."""
+    powers past MAX_DEGREE, malformed strings, and small, out-of-domain or
+    just-past-the-cap numbers.  Numbers under the caps stay small, so that
+    every run is cheap: verify's --n and suite's --n-max have no cap, and a
+    constant past 4300 digits cannot be printed (see the xfail test below),
+    so free-form expressions are at most 8 characters, too short to build
+    one."""
     from hypothesis import strategies as st
 
     small = st.integers(-3, 6).map(str)
@@ -402,8 +419,9 @@ def _argv_strategy():
                        expr, st.booleans())
     poly = st.one_of(expr, st.text(alphabet="xL0123456789+-*/^() ", max_size=8),
                      st.text(max_size=8))
-    convert_options = {"--order": st.one_of(number, st.just(str(MAX_DEGREE + 1))),
-                       "--lambda": lam, "--format": fmt}
+    row = st.one_of(number, st.just(str(MAX_ROW + 1)))
+    degree = st.one_of(number, st.just(str(MAX_DEGREE + 1)))
+    convert_options = {"--order": degree, "--lambda": lam, "--format": fmt}
 
     def command(name, required, optional):
         # each optional flag is passed or left out; --flag=value passes a
@@ -413,12 +431,12 @@ def _argv_strategy():
                          flags)
 
     return st.one_of(
-        command("numbers", {}, {"--n-max": number, "--order": number, "--lambda": lam,
+        command("numbers", {}, {"--n-max": row, "--order": number, "--lambda": lam,
                                 "--format": fmt}),
-        command("poly", {"--n": number}, {"--order": number, "--lambda": lam, "--format": fmt}),
+        command("poly", {"--n": row}, {"--order": number, "--lambda": lam, "--format": fmt}),
         command("convert", {"--poly": poly}, convert_options),
         command("convert", {"--poly": nested}, convert_options),
-        command("stirling", {"--n": number, "--k": number}, {"--lambda": lam, "--format": fmt}),
+        command("stirling", {"--n": degree, "--k": degree}, {"--lambda": lam, "--format": fmt}),
         command("verify", {"--identity": st.sampled_from(suite.IDENTITY_IDS + ("nope",)),
                            "--n": small, "--r": small},
                 {"--s": number, "--k": number,

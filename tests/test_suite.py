@@ -193,14 +193,14 @@ def _flip_first_shift_weight(orig):
     return lambda s: [-w if j == 0 and s else w for j, w in enumerate(orig(s))]
 
 
-def _bump_series_power(orig):
-    # coefficient 1 of every power of a series
-    def power(self, n):
-        out = orig(self, n)
+def _bump_series_coefficient(orig):
+    # coefficient 1 of every series the method returns
+    def bumped(self, *args):
+        out = orig(self, *args)
         if out.trunc < 1:
             return out
         return TruncSeries._raw((out.coeffs[0], out.coeffs[1] + ONE) + out.coeffs[2:], out.trunc)
-    return power
+    return bumped
 
 
 def _bump_basis_polynomial(orig):
@@ -220,7 +220,7 @@ def _bump_value(orig):
 ROUTE_ROWS = [
     pytest.param(frobenius, "_shift_weights", _flip_first_shift_weight,
                  {"thm1_roundtrip", "eq22_ladder"}, id="evaluation-formula-and-J-weights"),
-    pytest.param(TruncSeries, "__pow__", _bump_series_power,
+    pytest.param(TruncSeries, "__pow__", _bump_series_coefficient,
                  {"thm1_roundtrip", "eq15_duality"}, id="TruncSeries-powering"),
     pytest.param(frobenius, "fe_poly", _bump_basis_polynomial,
                  {"thm1_roundtrip"}, id="recombination-tables"),
@@ -232,6 +232,8 @@ ROUTE_ROWS = [
 UNCOVERED = [
     pytest.param(XPoly, "evaluate", _bump_value,
                  id="XPoly-evaluate: to_fe_basis reads the coefficients of p, not its values"),
+    pytest.param(TruncSeries, "recip", _bump_series_coefficient,
+                 id="TruncSeries-recip: no identity in the grid takes a negative series power"),
 ]
 
 

@@ -129,13 +129,40 @@ def test_recip():
         t_power(1).recip()
 
 
-def test_pow():
+def power_inverting_first(f, k):
+    """f^-k in the other order: the reciprocal of f, then binary powering."""
+    base, out = f.recip(), TruncSeries.one(f.trunc)
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def test_pow(monkeypatch):
     rng = random.Random(28)
     f = rand_series(rng, invertible=True)
     assert f ** 0 == TruncSeries.one(N)
+    assert f ** 1 == f
     assert f ** 3 == f * f * f
     assert f ** -2 == f.recip() * f.recip()
     assert (f ** -2) * (f ** 2) == TruncSeries.one(N)
+    # random denominators, not only powers of 1 - L
+    for k in range(1, 6):
+        for _ in range(3):
+            f = rand_series(rng, trunc=6, invertible=True)
+            assert f ** -k == power_inverting_first(f, k), k
+
+    products = []
+    orig = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda a, b: products.append(1) or orig(a, b))
+    for f in (t_power(1), TruncSeries([0, 1, 2, 3])):
+        for k in (1, 2, 5):
+            with pytest.raises(NotInvertibleError):
+                f ** -k
+    assert products == []
 
 
 def test_truncation_guards():
