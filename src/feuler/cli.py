@@ -30,9 +30,10 @@ from .xpoly import X, XPoly
 
 
 MAX_DEPTH = 100  # parentheses and unary minus signs, counted together
-MAX_DEGREE = 1000  # of a power in x and L and its exponent; convert's --order; stirling's --n, --k
+MAX_DEGREE = 1000  # powers in x and L; convert --order; stirling --n/--k; verify |--r|/--s/--k
 MAX_INDEX = 9999  # of verify's thm1_roundtrip --index: each earlier input is drawn first
 MAX_ROW = 400  # numbers' --n-max and poly's --n: about 2 s and 50 MB of output at the cap
+MAX_CELL_N = 150  # verify's --n: thm2 --n 150 --r 6 --s 3 takes about 1 s and prints 4.6 MB
 
 
 class PolyParseError(ValueError):
@@ -355,9 +356,12 @@ def _cmd_verify(args, seed: int) -> int:
     if unmet:
         sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
         return 2
+    # an order may be negative, so --r is capped in absolute value
+    caps = {"n": MAX_CELL_N, "r": MAX_DEGREE, "s": MAX_DEGREE, "k": MAX_DEGREE, "index": MAX_INDEX}
+    if any(_over_cap(args.identity, "|--r|" if name == "r" else f"--{name}", abs(v), caps[name])
+           for name, v in values.items()):
+        return 2
     if args.identity == "thm1_roundtrip":
-        if _over_cap(args.identity, "--index", args.index, MAX_INDEX):
-            return 2
         draws = suite_mod.roundtrip_inputs(seed, args.index + 1)
         values["p"], values["r"] = next(islice(draws, args.index, None))
     cell = getattr(suite_mod, "verify_" + args.identity)(**values)

@@ -54,7 +54,7 @@ def _row(r: int, n_max: int) -> list:
             continue
         p, e = _strip(num, n)
         a, p = _iprim(p)
-        row.append(LambdaRat._make(a, 1, tuple(p), _one_minus_l_pow(e)))
+        row.append(LambdaRat._make(a, 1, tuple(p), e))
     _ROWS[r] = (row, num)
     return row
 
@@ -75,8 +75,8 @@ def fe_numbers(n_max: int, r: int = 1) -> list:
 def fe_poly(n: int, r: int = 1) -> XPoly:
     """The monic degree-n polynomial H_n^{(r)}(x|L)."""
     row = _row(r, n)
-    # row entries have integer content (b == 1), which C(n, l) scales
-    return XPoly([LambdaRat._make(comb(n, l) * h.a, 1, h.p, h.q)
+    # row entries have integer content (b == 1), which C(n, l) scales, and r = 1
+    return XPoly([LambdaRat._make(comb(n, l) * h.a, 1, h.p, h.e)
                   for l, h in enumerate(reversed(row[:n + 1]))])
 
 
@@ -91,8 +91,7 @@ def _shift_weights(s: int) -> list:
     """w_j = (-L)^{s-j} / (1-L)^s for j = 0..s, the weights of the shifts
     p(x + j) in J^s and in the evaluation formula of ``to_fe_basis``.
     L^(s-j) is prime to (1 - L)^s, so each is built in canonical form."""
-    q = _one_minus_l_pow(s)
-    return [LambdaRat._make((-1) ** (s - j), 1, (0,) * (s - j) + (1,), q) for j in range(s + 1)]
+    return [LambdaRat._make((-1) ** (s - j), 1, (0,) * (s - j) + (1,), s) for j in range(s + 1)]
 
 
 def j_lambda(p: XPoly, s: int = 1) -> XPoly:
@@ -126,7 +125,7 @@ def delta_pow_at_zero(n: int, k: int) -> LambdaRat:
     if not c:
         return ZERO
     a, p = _iprim(c)
-    return LambdaRat._make(a, 1, tuple(p), (1,))
+    return LambdaRat._make(a, 1, tuple(p))
 
 
 def stirling_lambda(n: int, k: int) -> LambdaRat:
@@ -164,7 +163,7 @@ def lowering_coeff(s: int, l: int) -> LambdaRat:
     l-set maps onto a larger set.
     """
     return dot((comb(s, m) * surjection_sum(l, m), ONE,
-                LambdaRat._make(1, 1, (1,), _one_minus_l_pow(m))) for m in range(min(s, l) + 1))
+                LambdaRat._make(1, 1, (1,), m)) for m in range(min(s, l) + 1))
 
 
 # held here, not looked up by name, so that clear_caches reaches the caches

@@ -3,28 +3,30 @@
 Every value is kept in a canonical form so that equality of mathematical
 values coincides with structural (and textual) equality.
 
-* ``LambdaRat`` stores a value as ``(a / b) * p / q``: ``a`` and ``b``
-  are coprime ints, ``b > 0``, and ``p`` and ``q`` are tuples of ints,
-  ascending, each primitive (content 1) with a positive lowest nonzero
-  coefficient.  gcd(p, q) = 1, ``q == (1,)`` exactly when the value is a
-  polynomial, and zero is ``(0 / 1) * () / (1,)``.  Arithmetic reads and
-  writes this form with ints only: gcd, exact division and convolution
-  on the tuples, ``math.gcd`` on the content.  The polynomial gcd is
-  heuristic (GCDHEU: one big-integer gcd of the two polynomials' values
-  at a point, checked by exact division), with the primitive
-  pseudo-remainder sequence as its fallback.  A product by a constant
-  scales the content; any other product is ``dot``'s one-term case;
-  construction, ``LambdaRat(num, den)``, is one ``_reduce`` term; every
-  gcd is taken in ``_reduce``.  Every denominator splits as
-  q = (1 - L)^e * r with r prime to 1 - L (``_parts``; a power of
-  (1 - L), the denominator of every Frobenius-Euler value, is recognised
-  by its alternating binomial row, memoized by e, and has r = 1).  Sums
-  lift the numerators of the smaller exponents by (1 - L)^(e_max - e)
-  and add.  Then (1 - L) is stripped from the numerator while its
-  coefficients sum to zero, one synthetic division b_i = a_0 + ... + a_i
-  each; by Gauss's lemma the quotient of a primitive polynomial by
-  (1 - L) is primitive with the same lowest coefficient.  Only a
-  nontrivial r costs a gcd, so no gcd runs over powers of (1 - L).
+* ``LambdaRat`` stores a value as ``(a / b) * p / ((1 - L)^e * r)``:
+  ``a`` and ``b`` are coprime ints, ``b > 0``, ``e >= 0``, and ``p`` and
+  ``r`` are tuples of ints, ascending, each primitive (content 1) with a
+  positive lowest nonzero coefficient; r is prime to 1 - L, and (1,) for
+  every Frobenius-Euler value.  p is prime to the denominator, the value
+  is a polynomial exactly when e == 0 and r == (1,), and zero is
+  ``(0 / 1) * () / 1``.  The split is stored, so no operation recognises
+  it again; ``q``, the denominator as one tuple, is a view built from it.
+  ``_parts`` splits only a denominator that arrives whole: in
+  ``LambdaRat(num, den)``, and in ``inverse``, whose denominator is the
+  old numerator.  Arithmetic reads and writes this form with ints only:
+  gcd, exact division and convolution on the tuples, ``math.gcd`` on the
+  content.  The polynomial gcd is heuristic (GCDHEU: one big-integer gcd
+  of the two polynomials' values at a point, checked by exact division),
+  with the primitive pseudo-remainder sequence as its fallback.  A
+  product by a constant scales the content; any other product is
+  ``dot``'s one-term case; construction is one ``_reduce`` term; every
+  gcd is taken in ``_reduce``.  Sums lift the numerators of the smaller
+  exponents by (1 - L)^(e_max - e) and add.  Then (1 - L) is stripped
+  from the numerator while its coefficients sum to zero, one synthetic
+  division b_i = a_0 + ... + a_i each; by Gauss's lemma the quotient of a
+  primitive polynomial by (1 - L) is primitive with the same lowest
+  coefficient.  Only a nontrivial r costs a gcd, so no gcd runs over
+  powers of (1 - L).
 * ``dot`` is the n-ary kernel under every sum of products in the layers
   above (XPoly products, shifts and values, series products, J, the
   basis changes and the suite's split sums): the sum of w * x * y over
@@ -44,8 +46,8 @@ values coincides with structural (and textual) equality.
 * One term walker, ``_render``, prints every polynomial in L from the
   ints ``(a, b, p)``, plain or LaTeX: ``str`` of both types,
   ``embed_str``, ``XPoly`` and the CLI's LaTeX.  Hashes come from ``(a,
-  b, p, q)``, a constant's as the rational it equals, so equal values of
-  the three types hash equal.
+  b, p, e, r)``, a constant's as the rational it equals, so equal values
+  of the three types hash equal.
 """
 
 from __future__ import annotations
@@ -278,9 +280,10 @@ def _addto(acc: list, a: int, p) -> list:
 
 
 def _parts(q) -> tuple:
-    """(e, r) with the canonical denominator q = (1 - L)^e * r, r prime to
-    1 - L.  A power of (1 - L) is recognised by its binomial row; any other
-    q is divided by (1 - L) while its coefficients sum to zero."""
+    """(e, r) with the primitive polynomial q = (1 - L)^e * r, r prime to
+    1 - L: the split of a denominator that arrives whole.  A power of
+    (1 - L) is recognised by its binomial row; any other q is divided by
+    (1 - L) while its coefficients sum to zero."""
     e = len(q) - 1
     if e == 0 or (q[1] == -e and q[0] == 1 and q == _one_minus_l_pow(e)):
         return e, (1,)
@@ -308,13 +311,23 @@ def _reduce(terms) -> "LambdaRat":
             d = d // gcd(d, t[1]) * t[1]
     sums = {}
     for a, b, p, e, r in terms:
-        _addto(sums.setdefault(r, {}).setdefault(e, []), a * (d // b), p)
+        a *= d // b
+        by_e = sums.get(r)
+        if by_e is None:
+            sums[r] = {e: [a * c for c in p]}
+        elif e in by_e:
+            _addto(by_e[e], a, p)
+        else:
+            by_e[e] = [a * c for c in p]
     groups = []
     for r, by_e in sums.items():
-        acc = None
-        for k in sorted(by_e):
-            acc = by_e[k] if acc is None else _addto(_lift(acc, k - e), 1, by_e[k])
-            e = k
+        if len(by_e) == 1:
+            (e, acc), = by_e.items()
+        else:
+            acc = None
+            for k in sorted(by_e):
+                acc = by_e[k] if acc is None else _addto(_lift(acc, k - e), 1, by_e[k])
+                e = k
         if _itrim(acc):
             groups.append((r, e, acc))
     if not groups:
@@ -334,34 +347,31 @@ def _reduce(terms) -> "LambdaRat":
             return ZERO
     a, pn = _iprim(acc)
     pn, e = _strip(pn, e)
-    q = _one_minus_l_pow(e)
     if len(big_r) > 1:
         g = _igcd(pn, big_r)
         if len(g) > 1:
             pn = _iquo(pn, g)
-            big_r = _iquo(big_r, g)
-        q = tuple(_imul(q, big_r))
+            big_r = tuple(_iquo(big_r, g))
     g = gcd(a, d)
-    return LambdaRat._make(a // g, d // g, tuple(pn), q)
+    return LambdaRat._make(a // g, d // g, tuple(pn), e, big_r)
 
 
 def dot(terms) -> "LambdaRat":
     """The sum of w * x * y over (int w, LambdaRat x, LambdaRat y) triples.
 
     Equal to the pairwise fold, but reduced once: each product is its
-    numerators' product over the product of the denominators, split as
-    in ``_parts``, and ``_reduce`` adds them all.  A term with a zero
-    factor is skipped, and an empty sum is ZERO.
+    numerators' product over the product of the denominators, whose
+    split is the sum of the exponents e and the product of the r, and
+    ``_reduce`` adds them all.  A term with a zero factor is skipped, and
+    an empty sum is ZERO.
     """
     prods = []
     for w, x, y in terms:
         if not (w and x.p and y.p):
             continue
-        ex, rx = _parts(x.q)
-        ey, ry = _parts(y.q)
         p = x.p if y.p == (1,) else y.p if x.p == (1,) else _imul(x.p, y.p)
-        r = rx if ry == (1,) else ry if rx == (1,) else tuple(_imul(rx, ry))
-        prods.append((w * x.a * y.a, x.b * y.b, p, ex + ey, r))
+        r = x.r if y.r == (1,) else y.r if x.r == (1,) else tuple(_imul(x.r, y.r))
+        prods.append((w * x.a * y.a, x.b * y.b, p, x.e + y.e, r))
     return _reduce(prods)
 
 
@@ -404,11 +414,11 @@ def _render(a: int, b: int, p, latex: bool = False) -> str:
     return "".join(parts) or "0"
 
 
-def _hash(a: int, b: int, p, q) -> int:
+def _hash(a: int, b: int, p, e: int, r) -> int:
     # a constant hashes like the rational it equals
-    if len(p) <= 1 and len(q) == 1:
+    if len(p) <= 1 and not e and r == (1,):
         return hash(Fraction(a, b))
-    return hash((a, b, p, q))
+    return hash((a, b, p, e, r))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +466,7 @@ class LambdaPoly:
 
     def __hash__(self):
         # the split form, so that the equal LambdaRat hashes alike
-        return _hash(*_split(self), (1,))
+        return _hash(*_split(self), 0, (1,))
 
     def __str__(self):
         return _render(*_split(self))
@@ -487,15 +497,17 @@ def _split(value) -> tuple:
 class LambdaRat:
     """Element of the rational-function field Q(L), always reduced.
 
-    Stored as the content ``a / b`` times primitive int tuples ``p / q``
-    in the canonical form of the module docstring, so two equal field
-    elements are structurally identical and print identically.  A product
-    by a constant scales the content; any other product is ``dot``'s
-    one-term case; construction is one ``_reduce`` term; every gcd is
-    taken in ``_reduce``.
+    Stored as the content ``a / b``, the primitive int tuple ``p`` and the
+    split ``(1 - L)^e * r`` of the denominator, in the canonical form of
+    the module docstring, so two equal field elements are structurally
+    identical and print identically.  ``q``, the denominator as one
+    tuple, is a view built from the split.  A product by a constant
+    scales the content; any other product is ``dot``'s one-term case;
+    construction is one ``_reduce`` term; every gcd is taken in
+    ``_reduce``.
     """
 
-    __slots__ = ("a", "b", "p", "q")
+    __slots__ = ("a", "b", "p", "e", "r")
 
     def __init__(self, num=0, den=1):
         an, bn, p = _split(num)
@@ -505,17 +517,24 @@ class LambdaRat:
         if ad < 0:
             an, ad = -an, -ad
         v = _reduce(((an * bd, bn * ad, p, *_parts(q)),))
-        self.a, self.b, self.p, self.q = v.a, v.b, v.p, v.q
+        self.a, self.b, self.p, self.e, self.r = v.a, v.b, v.p, v.e, v.r
 
     @classmethod
-    def _make(cls, a: int, b: int, p: tuple, q: tuple) -> "LambdaRat":
-        # trusted: (a, b, p, q) already satisfy the canonical form
+    def _make(cls, a: int, b: int, p: tuple, e: int = 0, r: tuple = (1,)) -> "LambdaRat":
+        # trusted: (a, b, p, e, r) already satisfy the canonical form
         self = object.__new__(cls)
         self.a = a
         self.b = b
         self.p = p
-        self.q = q
+        self.e = e
+        self.r = r
         return self
+
+    @property
+    def q(self) -> tuple:
+        """The denominator (1 - L)^e * r as one int tuple."""
+        row = _one_minus_l_pow(self.e)
+        return row if self.r == (1,) else tuple(_imul(row, self.r))
 
     @property
     def num(self) -> LambdaPoly:
@@ -535,7 +554,7 @@ class LambdaRat:
     @property
     def is_poly(self) -> bool:
         """True when the denominator is 1."""
-        return len(self.q) == 1
+        return not self.e and self.r == (1,)
 
     def __bool__(self) -> bool:
         return bool(self.p)
@@ -548,13 +567,13 @@ class LambdaRat:
             return other
         if not other.p:
             return self
-        return _reduce(((self.a, self.b, self.p, *_parts(self.q)),
-                        (other.a, other.b, other.p, *_parts(other.q))))
+        return _reduce(((self.a, self.b, self.p, self.e, self.r),
+                        (other.a, other.b, other.p, other.e, other.r)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaRat._make(-self.a, self.b, self.p, self.q)
+        return LambdaRat._make(-self.a, self.b, self.p, self.e, self.r)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -570,10 +589,11 @@ class LambdaRat:
         if other is NotImplemented:
             return other
         # a constant factor scales the content only
-        if self.p == self.q == (1,):
-            return LambdaRat._make(*_cmul(self.a, self.b, other.a, other.b), other.p, other.q)
-        if other.p == other.q == (1,):
-            return LambdaRat._make(*_cmul(self.a, self.b, other.a, other.b), self.p, self.q)
+        if self.p == self.r == (1,) and not self.e:
+            self, other = other, self
+        if other.p == other.r == (1,) and not other.e:
+            a, b = _cmul(self.a, self.b, other.a, other.b)
+            return LambdaRat._make(a, b, self.p, self.e, self.r)
         return dot(((1, self, other),))
 
     __rmul__ = __mul__
@@ -582,7 +602,9 @@ class LambdaRat:
         if not self.p:
             raise ZeroDivisionError("inverse of zero in Q(L)")
         a, b = (self.a, self.b) if self.a > 0 else (-self.a, -self.b)
-        return LambdaRat._make(b, a, self.q, self.p)
+        # the numerator turns into the denominator: split it, unless it is 1
+        e, r = _parts(self.p) if len(self.p) > 1 else (0, (1,))
+        return LambdaRat._make(b, a, self.q, e, r)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -600,8 +622,8 @@ class LambdaRat:
             return self.inverse() ** (-n)
         if not self.p:
             return ZERO
-        return LambdaRat._make(self.a ** n, self.b ** n,
-                               tuple(_ipow(self.p, n)), tuple(_ipow(self.q, n)))
+        return LambdaRat._make(self.a ** n, self.b ** n, tuple(_ipow(self.p, n)),
+                               self.e * n, tuple(_ipow(self.r, n)))
 
     def evaluate(self, point) -> Fraction:
         """Value at a rational point of L; raises PoleError at a pole."""
@@ -614,21 +636,22 @@ class LambdaRat:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return self.a == other.a and self.b == other.b and self.p == other.p and self.q == other.q
+        return (self.a == other.a and self.b == other.b and self.p == other.p
+                and self.e == other.e and self.r == other.r)
 
     def __hash__(self):
-        return _hash(self.a, self.b, self.p, self.q)
+        return _hash(self.a, self.b, self.p, self.e, self.r)
 
     def __str__(self):
         num = _render(self.a, self.b, self.p)
-        if len(self.q) == 1:
+        if self.is_poly:
             return num
         return f"({num}) / ({_render(1, 1, self.q)})"
 
     def embed_str(self) -> str:
         """Compact rendering for use inside a larger expression."""
         num = _render(self.a, self.b, self.p)
-        if len(self.q) == 1:
+        if self.is_poly:
             return num
         if sum(1 for v in self.p if v) == 1:
             return f"{num}/({_render(1, 1, self.q)})"
@@ -642,9 +665,9 @@ def _coerce(value):
     if isinstance(value, LambdaRat):
         return value
     if isinstance(value, (int, Fraction)):
-        return LambdaRat._make(value.numerator, value.denominator, (1,), (1,)) if value else ZERO
+        return LambdaRat._make(value.numerator, value.denominator, (1,)) if value else ZERO
     if isinstance(value, LambdaPoly):
-        return LambdaRat._make(*_split(value), (1,))
+        return LambdaRat._make(*_split(value))
     return NotImplemented
 
 
@@ -656,6 +679,6 @@ def lrat(value) -> LambdaRat:
     return out
 
 
-ZERO = LambdaRat._make(0, 1, (), (1,))
-ONE = LambdaRat._make(1, 1, (1,), (1,))
-LAMBDA = LambdaRat._make(1, 1, (0, 1), (1,))
+ZERO = LambdaRat._make(0, 1, ())
+ONE = LambdaRat._make(1, 1, (1,))
+LAMBDA = LambdaRat._make(1, 1, (0, 1))

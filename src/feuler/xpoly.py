@@ -181,7 +181,7 @@ class XPoly:
             if c.is_zero:
                 continue
             body = c.embed_str()
-            if c.p != (1,) or c.q != (1,) or c.a < 0:  # not a positive constant
+            if c.p != (1,) or not c.is_poly or c.a < 0:  # not a positive constant
                 body = f"({body})"
             parts.append(f"{body}*x^{k}")
         return " + ".join(parts) or "0"

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
-from feuler.scalar import LambdaPoly, LambdaRat
+from feuler.scalar import LambdaPoly, LambdaRat, _parts
 from feuler.xpoly import XPoly
 
 
@@ -38,8 +38,18 @@ def rand_xpoly(rng, max_deg=6):
 def check_canonical(v):
     """Assert the canonical form of a LambdaRat: the content a / b in
     lowest terms with b > 0, and numerator and denominator primitive int
-    polynomials with a positive lowest nonzero coefficient."""
+    polynomials with a positive lowest nonzero coefficient.  The stored
+    split (1 - L)^e * r of the denominator has e >= 0 and r primitive,
+    prime to 1 - L, with a positive lowest coefficient, and it is the
+    split that recognising the whole denominator finds."""
     assert v.b > 0 and gcd(v.a, v.b) == 1
+    assert isinstance(v.e, int) and v.e >= 0
+    assert isinstance(v.r, tuple) and sum(v.r) != 0 and v.r[-1] != 0
+    g = 0
+    for c in v.r:
+        g = gcd(g, c)
+    assert g == 1 and next(c for c in v.r if c) > 0
+    assert (v.e, v.r) == _parts(v.q)
     den = v.den.coeffs
     assert all(c.denominator == 1 for c in den)
     for p in ([c.numerator for c in den], v.p):

@@ -13,6 +13,7 @@ import pytest
 
 from feuler import cli, frobenius, suite
 from feuler.cli import (
+    MAX_CELL_N,
     MAX_DEGREE,
     MAX_DEPTH,
     MAX_INDEX,
@@ -230,6 +231,7 @@ def test_cli_work_limits_are_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "MAX_DEGREE", 3)
     monkeypatch.setattr(cli, "MAX_INDEX", 2)
     monkeypatch.setattr(cli, "MAX_ROW", 2)
+    monkeypatch.setattr(cli, "MAX_CELL_N", 2)
     assert run_cli("convert", "--poly", "x", "--order", "3")[0] == 0
     assert run_cli("convert", "--poly", "x", "--order", "4")[:2] == (2, "")
     assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "2")[0] == 0
@@ -241,6 +243,11 @@ def test_cli_work_limits_are_inclusive(monkeypatch):
     assert run_cli("stirling", "--n", "3", "--k", "3")[0] == 0
     assert run_cli("stirling", "--n", "4", "--k", "2")[:2] == (2, "")
     assert run_cli("stirling", "--n", "3", "--k", "4")[:2] == (2, "")
+    for cell in ("thm2 --n 2 --r -3 --s 3", "eq15_duality --n 2 --r 3 --k 3"):
+        assert run_cli("verify", "--identity", *cell.split())[0] == 0
+    for cell in ("thm2 --n 3 --r 1 --s 1", "thm2 --n 1 --r 4 --s 1", "thm2 --n 1 --r 1 --s 4",
+                 "eq12_ladder --n 2 --r -4", "eq15_duality --n 2 --r 1 --k 4"):
+        assert run_cli("verify", "--identity", *cell.split())[:2] == (2, "")
 
 
 def test_parse_limits_are_inclusive():
@@ -376,6 +383,18 @@ def test_cli_verify_roundtrip_seeded():
          f"stirling needs --n <= {MAX_DEGREE}"),
         (("stirling", "--n", "3", "--k", str(MAX_DEGREE + 1)),
          f"stirling needs --k <= {MAX_DEGREE}"),
+        (("verify", "--identity", "thm2", "--n", str(MAX_CELL_N + 1), "--r", "2", "--s", "1"),
+         f"thm2 needs --n <= {MAX_CELL_N}"),
+        (("verify", "--identity", "eq22_ladder", "--n", "999999", "--r", "1"),
+         f"eq22_ladder needs --n <= {MAX_CELL_N}"),
+        (("verify", "--identity", "thm5", "--n", "3", "--r", str(MAX_DEGREE + 1)),
+         f"thm5 needs |--r| <= {MAX_DEGREE}"),
+        (("verify", "--identity", "eq12_ladder", "--n", "3", "--r", str(-MAX_DEGREE - 1)),
+         f"eq12_ladder needs |--r| <= {MAX_DEGREE}"),
+        (("verify", "--identity", "thm2", "--n", "3", "--r", "2", "--s", str(MAX_DEGREE + 1)),
+         f"thm2 needs --s <= {MAX_DEGREE}"),
+        (("verify", "--identity", "eq15_duality", "--n", "3", "--r", "2", "--k",
+          str(MAX_DEGREE + 1)), f"eq15_duality needs --k <= {MAX_DEGREE}"),
         (("numbers", "--n-max", "-1"), "--n-max: must be >= 0"),
         # each used to end in a TypeError traceback, or in JSON for --format
         (("poly", "--n=--"), "'--' is not an option value"),
@@ -393,10 +412,9 @@ def _argv_strategy():
     """argv for every command: grammar expressions nested past MAX_DEPTH and
     powers past MAX_DEGREE, malformed strings, and small, out-of-domain or
     just-past-the-cap numbers.  Numbers under the caps stay small, so that
-    every run is cheap: verify's --n and suite's --n-max have no cap, and a
-    constant past 4300 digits cannot be printed (see the xfail test below),
-    so free-form expressions are at most 8 characters, too short to build
-    one."""
+    every run is cheap: suite's --n-max has no cap, and a constant past
+    4300 digits cannot be printed (see the xfail test below), so free-form
+    expressions are at most 8 characters, too short to build one."""
     from hypothesis import strategies as st
 
     small = st.integers(-3, 6).map(str)
@@ -438,8 +456,10 @@ def _argv_strategy():
         command("convert", {"--poly": nested}, convert_options),
         command("stirling", {"--n": degree, "--k": degree}, {"--lambda": lam, "--format": fmt}),
         command("verify", {"--identity": st.sampled_from(suite.IDENTITY_IDS + ("nope",)),
-                           "--n": small, "--r": small},
-                {"--s": number, "--k": number,
+                           "--n": st.one_of(small, st.just(str(MAX_CELL_N + 1))),
+                           "--r": st.one_of(small, st.sampled_from([str(MAX_DEGREE + 1),
+                                                                    str(-MAX_DEGREE - 1)]))},
+                {"--s": degree, "--k": degree,
                  "--index": st.one_of(small, st.just(str(MAX_INDEX + 1))),
                  "--seed": small, "--format": fmt}),
         command("suite", {"--jobs": st.sampled_from(["1", "0"]),

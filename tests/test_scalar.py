@@ -1,5 +1,6 @@
 """Field arithmetic and canonical forms in Q(L)."""
 
+import pickle
 import random
 import sys
 from collections import Counter
@@ -212,3 +213,31 @@ def test_every_polynomial_gcd_is_taken_in_reduce(monkeypatch):
     assert suite.run_suite(6, 3, 3).ok
     assert callers["_reduce"]
     assert set(callers) <= {"_reduce", "_igcd"}, callers
+
+
+def test_stored_split_is_read_not_recognised(monkeypatch):
+    # dot, + and a negative-order series read each operand's stored (e, r);
+    # only a denominator that arrives whole, in LambdaRat(num, den) or as
+    # the numerator that inverse turns over, is split by _parts
+    x = LambdaRat(LambdaPoly([1, 2]), LambdaPoly([1, -2, 1]))
+    y = LambdaRat(LambdaPoly([3, 0, 1]), LambdaPoly([1, 0, -1]))
+    calls = []
+    parts = scalar._parts
+    monkeypatch.setattr(scalar, "_parts", lambda q: calls.append(q) or parts(q))
+    frobenius.clear_caches()
+    assert scalar.dot([(2, x, y), (-1, y, y), (3, x, ONE)]) == 2 * x * y - y * y + 3 * x
+    assert x + y - x == y
+    frobenius.fe_series(-3, 16)
+    assert calls == []
+    assert y.inverse() * y == ONE
+    assert calls == [(3, 0, 1)]
+
+
+def test_values_and_polynomials_survive_pickling():
+    # suite --jobs sends the round-trip inputs to its workers pickled
+    rng = random.Random(15)
+    values = [ZERO, ONE, L, 1 / (1 - L) ** 3, LambdaRat(LambdaPoly([1]), LambdaPoly([2, 1, -1]))]
+    values += [rand_lrat(rng) for _ in range(20)]
+    for v in values + [xpoly.XPoly(values), xpoly.XPoly([]), frobenius.fe_poly(6, -2)]:
+        w = pickle.loads(pickle.dumps(v))
+        assert w == v and str(w) == str(v) and hash(w) == hash(v)

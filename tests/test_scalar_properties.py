@@ -109,6 +109,32 @@ def test_denominator_is_primitive_with_positive_lowest_term(a, b):
         check_canonical(v)
 
 
+# p / ((1 - L)^k (1 + L)^i (2 - L)^j): a stored split whose r is 1, a
+# single factor or a product of them, next to any power of (1 - L)
+def over_split(p, k, i, j):
+    den = times_one_minus_l([1], k)
+    for factor, times in (([1, 1], i), ([2, -1], j)):
+        for _ in range(times):
+            den = _imul(den, factor)
+    return LambdaRat(p, LambdaPoly(den))
+
+
+split_lrats = st.builds(over_split, polys, st.integers(0, 4), st.integers(0, 2), st.integers(0, 2))
+
+
+@seeded
+@given(split_lrats, split_lrats, split_lrats, st.integers(-3, 3))
+def test_every_operation_stores_the_canonical_split(a, b, c, n):
+    outs = [a, a + b, a - b, -a, a * b, a * 3, dot([(2, a, b), (-1, b, c), (3, c, ONE)]),
+            LambdaRat(a.num, b.den), LambdaRat(b.den, c.den)]
+    if a:
+        outs += [a.inverse(), b / a, a ** n, LambdaRat(b.den, a.num)]
+    elif n >= 0:
+        outs.append(a ** n)
+    for v in outs:
+        check_canonical(v)
+
+
 @seeded
 @given(power_lrats, power_lrats)
 def test_powers_of_one_minus_l_stay_canonical(a, b):
