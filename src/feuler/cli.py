@@ -11,8 +11,9 @@ The polynomial expression grammar shared by ``convert`` and the tests:
 Rationals bind greedily ('3/2^2' is (3/2)^2), division only accepts
 divisors free of x, and everything the canonical printers emit parses
 back to an equal value.  Parentheses and unary minus signs nest at most
-MAX_DEPTH deep, and a power's exponent, and its degree in x and in L,
-are at most MAX_DEGREE; past either limit the parse fails.
+MAX_DEPTH deep, a power's exponent, and its degree in x and in L, are
+at most MAX_DEGREE, and no integer of a coefficient has more than
+MAX_BITS bits; past any limit the parse fails.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .xpoly import X, XPoly
 
 MAX_DEPTH = 100  # parentheses and unary minus signs, counted together
 MAX_DEGREE = 1000  # powers in x and L; convert --order; stirling --n/--k; verify |--r|/--s/--k
+MAX_BITS = 10000  # of a parsed coefficient's integers; str() of an int fails past 4300 digits
 MAX_INDEX = 9999  # of verify's thm1_roundtrip --index: each earlier input is drawn first
 MAX_ROW = 400  # numbers' --n-max and poly's --n: about 2 s and 50 MB of output at the cap
 MAX_CELL_N = 150  # verify's --n: thm2 --n 150 --r 6 --s 3 takes about 1 s and prints 4.6 MB
@@ -90,9 +92,9 @@ class _Parser:
     def expr(self) -> XPoly:
         v = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             rhs = self.term()
-            v = v + rhs if op == "+" else v - rhs
+            v = _bounded(v + rhs if op == "+" else v - rhs, pos)
         return v
 
     def term(self) -> XPoly:
@@ -108,6 +110,7 @@ class _Parser:
                 if rhs.is_zero:
                     raise PolyParseError("division by zero", pos)
                 v = v * rhs.coeff(0).inverse()
+            v = _bounded(v, pos)
         return v
 
     def factor(self) -> XPoly:
@@ -122,7 +125,7 @@ class _Parser:
             size = max([len(v.coeffs) - 1] + [max(len(c.p), len(c.q)) - 1 for c in v.coeffs])
             if n > MAX_DEGREE or size * n > MAX_DEGREE:
                 raise PolyParseError(f"power of degree above {MAX_DEGREE}", pos)
-            v = v ** n
+            v = _bounded(_bounded(v, pos, n) ** n, pos)
         return v
 
     def base(self) -> XPoly:
@@ -137,7 +140,7 @@ class _Parser:
             self.depth -= 1
             return v
         if kind == "int":
-            return XPoly.const(self.rational())
+            return _bounded(XPoly.const(self.rational()), pos)
         if kind == "x":
             self.advance()
             return X
@@ -168,6 +171,16 @@ class _Parser:
                 raise PolyParseError("zero denominator", dpos)
             return Fraction(num, den)
         return Fraction(num)
+
+
+def _bounded(v: XPoly, pos: int, power: int = 1) -> XPoly:
+    """v, unless its coefficients, or those of its power, may print an integer
+    past MAX_BITS bits: a * p_k, b, or one of (1 - L)^e * r, at most 2^e times r's."""
+    bits = max((max((c.a * max(c.p, key=abs)).bit_length(), c.b.bit_length(),
+                    c.e + max(c.r, key=abs).bit_length()) for c in v.coeffs if c.p), default=0)
+    if bits * power > MAX_BITS:
+        raise PolyParseError(f"coefficient of more than {MAX_BITS} bits", pos)
+    return v
 
 
 def _int(text: str, pos: int) -> int:

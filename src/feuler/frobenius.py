@@ -80,11 +80,16 @@ def fe_poly(n: int, r: int = 1) -> XPoly:
                   for l, h in enumerate(reversed(row[:n + 1]))])
 
 
-@lru_cache(maxsize=None)
 def fe_series(r: int, trunc: int) -> TruncSeries:
-    """The series ((e^t - L)/(1 - L))^r that the order-r sequence inverts."""
-    base = TruncSeries._raw((ONE,) + (_INV,) * trunc, trunc)
-    return base ** r
+    """The series ((e^t - L)/(1 - L))^r that the order-r sequence inverts, sliced
+    from one power per order: its coefficient k does not depend on trunc."""
+    full = _longest_series(r, max(16, 1 << (trunc - 1).bit_length()))
+    return TruncSeries._raw(full.coeffs[:trunc + 1], trunc)
+
+
+@lru_cache(maxsize=None)
+def _longest_series(r: int, trunc: int) -> TruncSeries:
+    return TruncSeries._raw((ONE,) + (_INV,) * trunc, trunc) ** r
 
 
 def _shift_weights(s: int) -> list:
@@ -166,10 +171,18 @@ def lowering_coeff(s: int, l: int) -> LambdaRat:
                 LambdaRat._make(1, 1, (1,), m)) for m in range(min(s, l) + 1))
 
 
+@lru_cache(maxsize=None)
+def _split_sum_numbers(n: int, r: int, s: int) -> LambdaRat:
+    # sum_l C(n,l) lowering_coeff(s, l) H_{n-l}^{(r)}(L); both looked up when it runs
+    row = fe_numbers(n, r)
+    return dot((comb(n, l), lowering_coeff(s, l), row[n - l]) for l in range(n + 1))
+
+
 # held here, not looked up by name, so that clear_caches reaches the caches
 # even when a module attribute has been rebound to a wrapper; the last is
 # scalar's memo of the rows of (1 - L)^e
-_MEMOS = (fe_poly, fe_series, _delta_coeffs, surjection_sum, lowering_coeff, _one_minus_l_pow)
+_MEMOS = (fe_poly, _longest_series, _delta_coeffs, surjection_sum, lowering_coeff,
+          _split_sum_numbers, _one_minus_l_pow)
 
 
 class BasisExpansion:

@@ -501,10 +501,7 @@ class LambdaRat:
     split ``(1 - L)^e * r`` of the denominator, in the canonical form of
     the module docstring, so two equal field elements are structurally
     identical and print identically.  ``q``, the denominator as one
-    tuple, is a view built from the split.  A product by a constant
-    scales the content; any other product is ``dot``'s one-term case;
-    construction is one ``_reduce`` term; every gcd is taken in
-    ``_reduce``.
+    tuple, is a view built from the split.
     """
 
     __slots__ = ("a", "b", "p", "e", "r")

@@ -21,9 +21,9 @@ by one integer recurrence for the numerators over (1 - L)^n.  "Weights"
 are ``lowering_coeff``, built on the surjection recurrence.  "Stirling
 closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
 
-    thm2            table of order r - s | weights times order-r tables
-    cor3            order-1 table        | weights times order-r tables
-    cor4            x^n by XPoly powers  | weights times order-r tables
+    thm2            table of order r - s | weights times order-r numbers, scaled by C(n, m)
+    cor3            order-1 table        | weights times order-r numbers, scaled by C(n, m)
+    cor4            x^n by XPoly powers  | weights times order-r numbers, scaled by C(n, m)
     thm5            Stirling closed form | weights times order-r numbers; weights alone
     thm6            Stirling closed form | weights times order-r numbers
     remark          Stirling closed form | weights times order-1 numbers
@@ -42,8 +42,9 @@ from itertools import product
 from math import comb, factorial
 
 from . import frobenius
-from .frobenius import fe_numbers, fe_poly, fe_series, from_fe_basis, j_lambda, to_fe_basis
-from .scalar import LAMBDA, ONE, LambdaRat, dot, lrat
+from .frobenius import (_split_sum_numbers, fe_poly, fe_series, from_fe_basis, j_lambda,
+                        to_fe_basis)
+from .scalar import LAMBDA, ONE, LambdaRat, lrat
 from .umbral import appell_expand
 from .xpoly import X, XPoly
 
@@ -128,17 +129,9 @@ def _finish(identity, params, lhs, rhs) -> Cell:
 
 
 def _split_sum_polys(n: int, r: int, s: int) -> XPoly:
-    # sum_l C(n,l) * lowering_coeff(s, l) * H_{n-l}^{(r)}(x|L), coefficient
-    # by coefficient
-    terms = [(comb(n, l), frobenius.lowering_coeff(s, l), fe_poly(n - l, r).coeffs)
-             for l in range(n + 1)]
-    return XPoly._trimmed([dot((c, w, h[m]) for c, w, h in terms[:n - m + 1])
-                           for m in range(n + 1)])
-
-
-def _split_sum_numbers(n: int, r: int, s: int) -> LambdaRat:
-    row = fe_numbers(n, r)
-    return dot((comb(n, l), frobenius.lowering_coeff(s, l), row[n - l]) for l in range(n + 1))
+    # sum_l C(n,l) * lowering_coeff(s, l) * H_{n-l}^{(r)}(x|L) is an Appell
+    # sequence: its x^m coefficient is C(n,m) times the split sum of n - m
+    return XPoly._trimmed([comb(n, m) * _split_sum_numbers(n - m, r, s) for m in range(n + 1)])
 
 
 def verify_thm2(n: int, r: int, s: int) -> Cell:

@@ -17,7 +17,7 @@ index, so inverting first would make every product dense by dense.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, perm
 
 from .scalar import ONE, ZERO, LambdaRat, _coerce, dot, lrat
 from .xpoly import XPoly
@@ -42,10 +42,8 @@ class TruncSeries:
             trunc = len(cs) - 1
         if trunc < 0:
             raise ValueError("truncation bound must be >= 0")
-        if len(cs) > trunc + 1:
-            del cs[trunc + 1:]
-        while len(cs) < trunc + 1:
-            cs.append(ZERO)
+        del cs[trunc + 1:]
+        cs += [ZERO] * (trunc + 1 - len(cs))
         self.coeffs = tuple(cs)
         self.trunc = trunc
 
@@ -83,16 +81,10 @@ class TruncSeries:
 
     def mul_t_power(self, k: int) -> "TruncSeries":
         """Product with t^k, which shifts divided coefficients upward."""
-        out = [ZERO] * (self.trunc + 1)
-        for m in range(k, self.trunc + 1):
-            c = self.coeffs[m - k]
-            if not c.is_zero:
-                # m! / (m-k)!
-                f = 1
-                for i in range(m - k + 1, m + 1):
-                    f *= i
-                out[m] = c * f
-        return TruncSeries._raw(tuple(out), self.trunc)
+        cs = self.coeffs
+        out = (ZERO,) * min(k, self.trunc + 1) + tuple(
+            cs[m - k] * perm(m, k) if cs[m - k].p else ZERO for m in range(k, self.trunc + 1))
+        return TruncSeries._raw(out, self.trunc)
 
     def _require_unit(self):
         if self.coeffs[0].is_zero:
@@ -139,16 +131,11 @@ class TruncSeries:
             if c.is_zero:
                 continue
             body = c.embed_str()
-            if len(parts) or k > 0 or not c.is_poly:
-                body = f"({body})"
             if k == 0:
-                parts.append(body)
-            elif k == 1:
-                parts.append(f"{body}*t")
+                parts.append(body if c.is_poly else f"({body})")
             else:
-                parts.append(f"{body}/{k}!*t^{k}")
-        shown = " + ".join(parts) if parts else "0"
-        return f"{shown} (order {self.trunc})"
+                parts.append(f"({body})*t" if k == 1 else f"({body})/{k}!*t^{k}")
+        return f"{' + '.join(parts) or '0'} (order {self.trunc})"
 
     def __repr__(self):
         return f"TruncSeries({self})"
@@ -164,11 +151,7 @@ def appell_sequence(g: TruncSeries, n_max: int) -> list:
         raise TruncationError(
             f"need {n_max} series coefficients, kept {g.trunc}")
     h = g.recip().coeffs
-    out = []
-    for n in range(n_max + 1):
-        cs = [comb(n, m) * h[n - m] for m in range(n + 1)]
-        out.append(XPoly(cs))
-    return out
+    return [XPoly([comb(n, m) * h[n - m] for m in range(n + 1)]) for n in range(n_max + 1)]
 
 
 def appell_expand(g: TruncSeries, p: XPoly) -> list:

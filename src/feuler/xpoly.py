@@ -12,10 +12,10 @@ class XPoly:
 
     The coefficient tuple carries no trailing zero, so degree and leading
     coefficient read straight off the representation and equal values are
-    structurally equal.
+    structurally equal.  ``_text`` keeps the first ``str()``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_text")
 
     def __init__(self, coeffs=()):
         cs = [lrat(c) for c in coeffs]
@@ -86,10 +86,9 @@ class XPoly:
 
     def __sub__(self, other):
         if not isinstance(other, XPoly):
-            s = _coerce(other)
-            if s is NotImplemented:
+            other = _coerce(other)
+            if other is NotImplemented:
                 return NotImplemented
-            other = XPoly.monomial(0, s)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -175,16 +174,18 @@ class XPoly:
         return hash(self.coeffs)
 
     def __str__(self):
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
-                continue
-            body = c.embed_str()
-            if c.p != (1,) or not c.is_poly or c.a < 0:  # not a positive constant
-                body = f"({body})"
-            parts.append(f"{body}*x^{k}")
-        return " + ".join(parts) or "0"
+        if not hasattr(self, "_text"):
+            parts = []
+            for k in range(len(self.coeffs) - 1, -1, -1):
+                c = self.coeffs[k]
+                if c.is_zero:
+                    continue
+                body = c.embed_str()
+                if c.p != (1,) or not c.is_poly or c.a < 0:  # not a positive constant
+                    body = f"({body})"
+                parts.append(f"{body}*x^{k}")
+            self._text = " + ".join(parts) or "0"
+        return self._text
 
     def __repr__(self):
         return f"XPoly({self})"

@@ -156,6 +156,9 @@ def test_criterion_09_mutation_detected(monkeypatch):
         # one (1 - L) factor removed from the coefficient's denominator
         return true_coeff(s, l) * om
 
+    # cold, so that the split-sum memo is built under the fault, and cleared
+    # again once it is undone
+    frobenius.clear_caches()
     monkeypatch.setattr(frobenius, "lowering_coeff", dropped_factor)
     report = suite.run_suite(3, 2, 2)
     assert report.totals()["mismatch"] >= 1
@@ -165,6 +168,7 @@ def test_criterion_09_mutation_detected(monkeypatch):
         code = main(["suite", "--n-max", "3", "--r-max", "2", "--s-max", "2"])
     assert code != 0
     monkeypatch.undo()
+    frobenius.clear_caches()
     assert suite.run_suite(3, 2, 2).ok
     print(f"criterion 9: PASS  seeded fault caught, "
           f"{report.totals()['mismatch']} mismatches, CLI exit {code}")

@@ -13,6 +13,7 @@ import pytest
 
 from feuler import cli, frobenius, suite
 from feuler.cli import (
+    MAX_BITS,
     MAX_CELL_N,
     MAX_DEGREE,
     MAX_DEPTH,
@@ -411,10 +412,9 @@ def test_cli_out_of_domain_exits_2(argv, message):
 def _argv_strategy():
     """argv for every command: grammar expressions nested past MAX_DEPTH and
     powers past MAX_DEGREE, malformed strings, and small, out-of-domain or
-    just-past-the-cap numbers.  Numbers under the caps stay small, so that
-    every run is cheap: suite's --n-max has no cap, and a constant past
-    4300 digits cannot be printed (see the xfail test below), so free-form
-    expressions are at most 8 characters, too short to build one."""
+    just-past-the-cap numbers, and constants past MAX_BITS.  Numbers under
+    the caps stay small, so that every run is cheap: suite's --n-max has no
+    cap, and free-form expressions are at most 8 characters."""
     from hypothesis import strategies as st
 
     small = st.integers(-3, 6).map(str)
@@ -454,6 +454,7 @@ def _argv_strategy():
         command("poly", {"--n": row}, {"--order": number, "--lambda": lam, "--format": fmt}),
         command("convert", {"--poly": poly}, convert_options),
         command("convert", {"--poly": nested}, convert_options),
+        command("convert", {"--poly": st.sampled_from(PAST_MAX_BITS)}, convert_options),
         command("stirling", {"--n": degree, "--k": degree}, {"--lambda": lam, "--format": fmt}),
         command("verify", {"--identity": st.sampled_from(suite.IDENTITY_IDS + ("nope",)),
                            "--n": st.one_of(small, st.just(str(MAX_CELL_N + 1))),
@@ -485,10 +486,19 @@ def test_cli_main_exits_0_or_2_on_any_argv():
     check()
 
 
-@pytest.mark.xfail(raises=ValueError, strict=True,
-                   reason="str() of an int past 4300 digits raises; constant powers are not capped")
+# a power caught before it is taken, and a product that no power's check sees
+PAST_MAX_BITS = ("(9^999)^9", "*".join(["(9^999)"] * 5))
+
+
 def test_cli_convert_of_a_constant_past_4300_digits_exits_2():
-    assert run_cli("convert", "--poly", "(9^999)^9")[0] == 2
+    # str() of an int past 4300 digits raises, so such a constant must not
+    # reach the printer
+    for poly, pos in zip(PAST_MAX_BITS, (8, 23)):
+        assert run_cli("convert", "--poly", poly) == (
+            2, "", f"error: coefficient of more than {MAX_BITS} bits at position {pos}\n")
+    # under the bound a constant prints: 9^2997 has 2860 digits
+    assert run_cli("convert", "--poly", "*".join(["(9^999)"] * 3), "--order", "0") == (
+        0, f"0\t{9 ** 2997}\n", "")
 
 
 def test_cli_verify_r_domains():

@@ -296,6 +296,24 @@ def test_duality_pairing():
                 assert got == (factorial(n) if k == n else 0)
 
 
+def test_series_slices_match_a_fresh_power(monkeypatch):
+    # fe_series slices one power per order, built at 16, 32 or 64 terms;
+    # the reference is the power built at the truncation asked for
+    inv = (ONE - L).inverse()
+    for r in range(-3, 7):
+        for trunc in range(41):
+            fresh = TruncSeries._raw((ONE,) + (inv,) * trunc, trunc) ** r
+            assert fe_series(r, trunc) == fresh, (r, trunc)
+    built = []
+    power = TruncSeries.__pow__
+    monkeypatch.setattr(TruncSeries, "__pow__", lambda f, n: built.append(f.trunc) or power(f, n))
+    frobenius.clear_caches()
+    for trunc in (0, 16, 17, 32, 33, 5):
+        fe_series(-3, trunc)
+    frobenius.clear_caches()
+    assert built == [16, 32, 64]
+
+
 def test_delta_power_matches_operator_iteration():
     assert delta_pow_at_zero(2, 2) == 4 - 2 * L
     assert delta_pow_at_zero(0, 0) == 1
@@ -489,13 +507,13 @@ def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
 def test_clear_caches_empties_every_memo():
     def values():
         return (fe_numbers(6, 3), fe_poly(6, 2), fe_numbers(6, -2), stirling_lambda(6, 3),
-                lowering_coeff(3, 5), fe_series(2, 6))
+                lowering_coeff(3, 5), fe_series(2, 6), frobenius._split_sum_numbers(4, 2, 1))
 
     before = values()
     # a memoized polynomial is the same object on every call
     assert fe_poly(5, 2) is fe_poly(5, 2)
-    memos = (fe_poly, fe_series, frobenius._delta_coeffs, surjection_sum,
-             lowering_coeff, scalar._one_minus_l_pow)
+    memos = (fe_poly, frobenius._longest_series, frobenius._delta_coeffs, surjection_sum,
+             lowering_coeff, frobenius._split_sum_numbers, scalar._one_minus_l_pow)
     assert set(frobenius._MEMOS) == set(memos)
     assert frobenius._ROWS
     assert all(m.cache_info().currsize for m in memos)

@@ -3,10 +3,11 @@
 import hashlib
 import inspect
 import random
+from math import comb
 
 import pytest
 
-from feuler.scalar import LAMBDA, ONE
+from feuler.scalar import LAMBDA, ONE, dot
 from feuler import frobenius, suite
 from feuler.umbral import TruncSeries
 from feuler.xpoly import XPoly
@@ -124,7 +125,7 @@ def test_repeated_run_is_byte_identical():
     assert a == b
 
 
-def test_dropped_factor_is_caught(monkeypatch):
+def test_dropped_factor_is_caught(monkeypatch, cold_caches):
     orig = frobenius.lowering_coeff
     one_minus = ONE - LAMBDA
 
@@ -141,8 +142,10 @@ def test_dropped_factor_is_caught(monkeypatch):
     assert not rep.ok
     for c in rep.cells:
         assert (c.status == "equal") == (c.lhs == c.rhs)
-    bad = [c for c in rep.cells if c.status == "mismatch"]
-    assert all(c.identity in {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"} for c in bad)
+    # every route through the weight at (1, 1), the split sums of thm2,
+    # cor3 and cor4 among them
+    bad = {c.identity for c in rep.cells if c.status == "mismatch"}
+    assert bad == {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}
 
 
 def test_thm5_mismatch_names_each_route_that_differs(monkeypatch):
@@ -217,6 +220,21 @@ def _bump_value(orig):
     return lambda self, point: orig(self, point) + ONE
 
 
+def _bump_weights_at_two_steps(orig):
+    # s = 2 is even, so no thm6 cell (s = 2r - 1) reads it
+    return lambda s, l: orig(s, l) + ONE if s == 2 else orig(s, l)
+
+
+def _bump_order_two_row(orig):
+    # H_1^{(2)}, as the split sums read it; the polynomial tables keep the
+    # true row, and remark reads the order-1 row
+    return lambda n, r=1: [h + ONE if (k, r) == (1, 2) else h for k, h in enumerate(orig(n, r))]
+
+
+def _bump_surjections_onto_two(orig):
+    return lambda l, m: orig(l, m) + 1 if m == 2 else orig(l, m)
+
+
 ROUTE_ROWS = [
     pytest.param(frobenius, "_shift_weights", _flip_first_shift_weight,
                  {"thm1_roundtrip", "eq22_ladder"}, id="evaluation-formula-and-J-weights"),
@@ -226,6 +244,12 @@ ROUTE_ROWS = [
                  {"thm1_roundtrip"}, id="recombination-tables"),
     pytest.param(XPoly, "derivative", _bump_derivative,
                  {"eq12_ladder"}, id="XPoly-derivative"),
+    pytest.param(frobenius, "lowering_coeff", _bump_weights_at_two_steps,
+                 {"thm2", "cor3", "cor4", "thm5", "remark"}, id="split-sum-weights"),
+    pytest.param(frobenius, "fe_numbers", _bump_order_two_row,
+                 {"thm2", "cor3", "cor4", "thm5", "thm6"}, id="split-sum-rows"),
+    pytest.param(frobenius, "surjection_sum", _bump_surjections_onto_two,
+                 {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}, id="surjection-counts"),
 ]
 
 # Blocks that no identity reaches, with the reason; their unit tests cover them.
@@ -277,3 +301,28 @@ def test_evaluation_route_reads_no_series():
     read = _names_read(frobenius.to_fe_basis.__code__)
     read |= _names_read(frobenius._shift_weights.__code__)
     assert not read & {"fe_series", "cached_series", "TruncSeries", "appell_expand", "umbral"}
+
+
+def test_split_sum_route_reads_no_polynomial_table():
+    # the right side of thm2, cor3 and cor4 is built from the order-r rows
+    # and the weights; fe_poly builds their left sides
+    read = _names_read(suite._split_sum_polys.__code__)
+    read |= _names_read(frobenius._split_sum_numbers.__wrapped__.__code__)
+    assert {"_split_sum_numbers", "fe_numbers", "lowering_coeff"} <= read
+    assert "fe_poly" not in read
+
+
+def _split_sum_polys_termwise(n, r, s):
+    # the definition, sum_l C(n,l) * lowering_coeff(s, l) * H_{n-l}^{(r)}(x|L),
+    # coefficient by coefficient over the polynomial tables
+    terms = [(comb(n, l), frobenius.lowering_coeff(s, l), frobenius.fe_poly(n - l, r).coeffs)
+             for l in range(n + 1)]
+    return XPoly._trimmed([dot((c, w, h[m]) for c, w, h in terms[:n - m + 1])
+                           for m in range(n + 1)])
+
+
+def test_split_sums_match_the_termwise_sum():
+    for n in range(13):
+        for r in range(-2, 7):
+            for s in range(7):
+                assert suite._split_sum_polys(n, r, s) == _split_sum_polys_termwise(n, r, s)

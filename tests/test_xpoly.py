@@ -1,10 +1,12 @@
 """Polynomials in x over Q(L): arithmetic, shift, dilation, printing."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from feuler.frobenius import fe_poly
 from feuler.scalar import LAMBDA, NEG_INF, ONE, LambdaPoly, LambdaRat
 from feuler.xpoly import X, XPoly
 
@@ -109,3 +111,16 @@ def test_evaluate_at_lambda_point():
     v = p.evaluate(L)
     assert v == L ** 2 - 1
     assert p.evaluate(1).is_zero
+
+
+def test_memoized_polynomial_is_printed_once():
+    p = fe_poly(7, 3)
+    text = str(p)
+    assert str(p) is text
+    assert str(XPoly(p.coeffs)) == text
+    # suite --jobs pickles the round-trip inputs, printed or not
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p) and str(back) == text
+    fresh = XPoly([1, L])
+    back = pickle.loads(pickle.dumps(fresh))
+    assert back == fresh and str(back) == "(1*L)*x^1 + 1*x^0" == str(fresh)
