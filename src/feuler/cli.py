@@ -11,9 +11,10 @@ The polynomial expression grammar shared by ``convert`` and the tests:
 Rationals bind greedily ('3/2^2' is (3/2)^2), division only accepts
 divisors free of x, and everything the canonical printers emit parses
 back to an equal value.  Parentheses and unary minus signs nest at most
-MAX_DEPTH deep, a power's exponent, and its degree in x and in L, are
-at most MAX_DEGREE, and no integer of a coefficient has more than
-MAX_BITS bits; past any limit the parse fails.
+MAX_DEPTH deep, a power's exponent, and the degree in x and in L of a
+power or a product, are at most MAX_DEGREE, and no integer of a
+coefficient has more than MAX_BITS bits; past any limit the parse fails.
+Each limit on a power or a product is checked before it is taken.
 """
 
 from __future__ import annotations
@@ -102,15 +103,16 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             kind, _, pos = self.advance()
             rhs = self.factor()
-            if kind == "*":
-                v = v * rhs
-            else:
+            if kind == "/":
                 if rhs.degree > 0:
                     raise PolyParseError("division by a polynomial in x", pos)
                 if rhs.is_zero:
                     raise PolyParseError("division by zero", pos)
-                v = v * rhs.coeff(0).inverse()
-            v = _bounded(v, pos)
+            if max(map(sum, zip(_degrees(v), _degrees(rhs)))) > MAX_DEGREE:
+                raise PolyParseError(f"product of degree above {MAX_DEGREE}", pos)
+            if _bits(v) + _bits(rhs) > MAX_BITS:
+                raise PolyParseError(f"coefficient of more than {MAX_BITS} bits", pos)
+            v = _bounded(v * rhs if kind == "*" else v * rhs.coeff(0).inverse(), pos)
         return v
 
     def factor(self) -> XPoly:
@@ -122,8 +124,7 @@ class _Parser:
                 raise PolyParseError("expected a nonnegative integer exponent", pos)
             self.advance()
             n = _int(text, pos)
-            size = max([len(v.coeffs) - 1] + [max(len(c.p), len(c.q)) - 1 for c in v.coeffs])
-            if n > MAX_DEGREE or size * n > MAX_DEGREE:
+            if n > MAX_DEGREE or max(_degrees(v)) * n > MAX_DEGREE:
                 raise PolyParseError(f"power of degree above {MAX_DEGREE}", pos)
             v = _bounded(_bounded(v, pos, n) ** n, pos)
         return v
@@ -173,12 +174,23 @@ class _Parser:
         return Fraction(num)
 
 
+def _degrees(v: XPoly) -> tuple:
+    """v's degree in x and the largest degree in L of a numerator or denominator,
+    each of which adds up over a product."""
+    return len(v.coeffs) - 1, max((max(len(c.p), len(c.q)) - 1 for c in v.coeffs), default=0)
+
+
+def _bits(v: XPoly) -> int:
+    """The most bits an integer of v's coefficients may print: a * p_k, b, or
+    one of (1 - L)^e * r, at most 2^e times r's.  They add up over a product."""
+    return max((max((c.a * max(c.p, key=abs)).bit_length(), c.b.bit_length(),
+                    c.e + max(c.r, key=abs).bit_length()) for c in v.coeffs if c.p), default=0)
+
+
 def _bounded(v: XPoly, pos: int, power: int = 1) -> XPoly:
     """v, unless its coefficients, or those of its power, may print an integer
-    past MAX_BITS bits: a * p_k, b, or one of (1 - L)^e * r, at most 2^e times r's."""
-    bits = max((max((c.a * max(c.p, key=abs)).bit_length(), c.b.bit_length(),
-                    c.e + max(c.r, key=abs).bit_length()) for c in v.coeffs if c.p), default=0)
-    if bits * power > MAX_BITS:
+    past MAX_BITS bits."""
+    if _bits(v) * power > MAX_BITS:
         raise PolyParseError(f"coefficient of more than {MAX_BITS} bits", pos)
     return v
 

@@ -8,15 +8,16 @@ is f as a linear functional on ``XPoly``.  As an operator t^k acts on p
 as the k-th derivative, and ``appell_expand(g, p)`` is the coefficient
 list of g(t)p(x), which is p in the Appell basis of g.
 
-A negative power f^-k is the reciprocal of f^k, taken last.  The two
-orders agree, but powering first multiplies small operands: for the
-Frobenius-Euler series f = (e^t - L)/(1 - L) the coefficients of f^k
-have numerators of degree below k, while those of 1/f grow with their
-index, so inverting first would make every product dense by dense.
+A power f^n of a unit f, n of either sign, comes from J.C.P. Miller's
+recurrence (Knuth, TAOCP vol. 2, 4.7), read off f h' = n f' h for h = f^n:
+b_0 = a_0^n and b_m = (a_0^-1 / m) sum_{k=1..m} C(m,k)((n+1)k - m) a_k b_{m-k}.
+Each coefficient is one ``dot`` and a scaling, whatever |n| is, and at
+n = -1 the recurrence is the reciprocal's.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, perm
 
 from .scalar import ONE, ZERO, LambdaRat, _coerce, dot, lrat
@@ -86,36 +87,32 @@ class TruncSeries:
             cs[m - k] * perm(m, k) if cs[m - k].p else ZERO for m in range(k, self.trunc + 1))
         return TruncSeries._raw(out, self.trunc)
 
-    def _require_unit(self):
-        if self.coeffs[0].is_zero:
-            raise NotInvertibleError("series of order >= 1 has no reciprocal")
-
     def recip(self) -> "TruncSeries":
-        """Multiplicative inverse; needs a nonzero constant term."""
-        self._require_unit()
-        a = self.coeffs
-        b0 = a[0].inverse()
-        out = [b0]
-        for n in range(1, self.trunc + 1):
-            out.append(-b0 * dot((comb(n, k), a[k], out[n - k]) for k in range(1, n + 1)))
-        return TruncSeries._raw(tuple(out), self.trunc)
+        """Multiplicative inverse, the power -1; needs a nonzero constant term."""
+        return self ** -1
 
     def __pow__(self, n: int):
-        """f^n by binary powering; f^-n is the reciprocal of f^n, taken
-        last, so that the products pair small operands (see the module
-        docstring).  A series with no reciprocal fails before any product."""
-        if n < 0:
-            self._require_unit()
-        k, base, out = abs(n), self, None
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        if out is None:
-            return TruncSeries.one(self.trunc)
-        return out.recip() if n < 0 else out
+        """f^n by Miller's recurrence (see the module docstring).  A series
+        t^v u with u a unit has f^n = t^(nv) u^n for n >= 0, the zero series
+        once nv passes the truncation; for n < 0 it fails before any product."""
+        a, top = self.coeffs, self.trunc
+        if not n:
+            return TruncSeries.one(top)
+        if a[0].is_zero:
+            if n < 0:
+                raise NotInvertibleError("series of order >= 1 has no reciprocal")
+            v = next((k for k, c in enumerate(a) if c.p), top + 1)
+            if n * v > top:
+                return TruncSeries._raw((ZERO,) * (top + 1), top)
+            unit = TruncSeries._raw(tuple(a[j + v] * Fraction(1, perm(j + v, v))
+                                          for j in range(top + 1 - n * v)), top - n * v)
+            return TruncSeries._raw((unit ** n).coeffs + (ZERO,) * (n * v), top).mul_t_power(n * v)
+        inv = a[0].inverse()
+        out = [a[0] ** n]
+        for m in range(1, top + 1):
+            s = dot((comb(m, k) * ((n + 1) * k - m), a[k], out[m - k]) for k in range(1, m + 1))
+            out.append(s * (inv * Fraction(1, m)))
+        return TruncSeries._raw(tuple(out), top)
 
     def functional(self, p: XPoly) -> LambdaRat:
         """<f | p>: the linear functional with <t^k | x^n> = n! delta."""

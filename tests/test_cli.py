@@ -208,6 +208,11 @@ def test_cli_convert_parse_error():
     assert "position 3" in err
 
 
+# products of powers under the cap whose degree in L is past it: each ran
+# for seconds to minutes before the product was bounded
+PAST_MAX_DEGREE = ("*".join(["(2-L)^999"] * 4), "1/" + "/".join(["(2-L)^999"] * 3))
+
+
 @pytest.mark.parametrize("poly, message", [
     ("(" * 300 + "x" + ")" * 300, f"nesting deeper than {MAX_DEPTH} levels at position {MAX_DEPTH}"),
     ("x+" + "-" * 2000 + "x", f"nesting deeper than {MAX_DEPTH} levels at position {MAX_DEPTH + 2}"),
@@ -215,8 +220,10 @@ def test_cli_convert_parse_error():
     ("(x^2 + L)^501", f"power of degree above {MAX_DEGREE} at position 10"),
     ("(1 + L^3)^400", f"power of degree above {MAX_DEGREE} at position 10"),
     ("1" * 5000 + "*x", "unreadable integer at position 0"),
+    (PAST_MAX_DEGREE[0], f"product of degree above {MAX_DEGREE} at position 9"),
+    (PAST_MAX_DEGREE[1], f"product of degree above {MAX_DEGREE} at position 11"),
 ], ids=["300-parentheses", "2000-unary-minus", "exponent", "degree-in-x", "degree-in-L",
-        "5000-digits"])
+        "5000-digits", "product-degree-in-L", "quotient-degree-in-L"])
 def test_cli_convert_limits_exit_2(poly, message):
     # a fresh interpreter, so that the recursion limit is the one a user
     # meets; each used to end in a traceback with exit 1 or to run for minutes
@@ -268,6 +275,14 @@ def test_parse_limits_are_inclusive():
     for text in (f"L^{MAX_DEGREE + 1}", f"(x^2)^{MAX_DEGREE // 2 + 1}", f"(1/(1 - L))^{MAX_DEGREE + 1}",
                  f"0^{MAX_DEGREE + 1}"):
         with pytest.raises(PolyParseError, match=f"power of degree above {MAX_DEGREE}"):
+            parse_poly_expr(text)
+    half = MAX_DEGREE // 2
+    assert parse_poly_expr(f"x^{half}*x^{MAX_DEGREE - half}") == X ** MAX_DEGREE
+    assert parse_poly_expr(f"L^{half}/(1 - L)^{half}*x") == XPoly(
+        [0, LAMBDA ** half / (1 - LAMBDA) ** half])
+    for text in (f"x^{half}*x^{MAX_DEGREE - half + 1}", f"L^{half}*(1 + L)^{MAX_DEGREE - half + 1}",
+                 f"x/(1 - L)^{half}/(2 - L)^{MAX_DEGREE - half + 1}"):
+        with pytest.raises(PolyParseError, match=f"product of degree above {MAX_DEGREE}"):
             parse_poly_expr(text)
 
 
@@ -412,9 +427,10 @@ def test_cli_out_of_domain_exits_2(argv, message):
 def _argv_strategy():
     """argv for every command: grammar expressions nested past MAX_DEPTH and
     powers past MAX_DEGREE, malformed strings, and small, out-of-domain or
-    just-past-the-cap numbers, and constants past MAX_BITS.  Numbers under
-    the caps stay small, so that every run is cheap: suite's --n-max has no
-    cap, and free-form expressions are at most 8 characters."""
+    just-past-the-cap numbers, and constants past MAX_BITS and products past
+    MAX_DEGREE.  Numbers under the caps stay small, so that every run is
+    cheap: suite's --n-max has no cap, and free-form expressions are at
+    most 8 characters."""
     from hypothesis import strategies as st
 
     small = st.integers(-3, 6).map(str)
@@ -454,7 +470,8 @@ def _argv_strategy():
         command("poly", {"--n": row}, {"--order": number, "--lambda": lam, "--format": fmt}),
         command("convert", {"--poly": poly}, convert_options),
         command("convert", {"--poly": nested}, convert_options),
-        command("convert", {"--poly": st.sampled_from(PAST_MAX_BITS)}, convert_options),
+        command("convert", {"--poly": st.sampled_from(PAST_MAX_BITS + PAST_MAX_DEGREE)},
+                convert_options),
         command("stirling", {"--n": degree, "--k": degree}, {"--lambda": lam, "--format": fmt}),
         command("verify", {"--identity": st.sampled_from(suite.IDENTITY_IDS + ("nope",)),
                            "--n": st.one_of(small, st.just(str(MAX_CELL_N + 1))),

@@ -235,6 +235,19 @@ def _bump_surjections_onto_two(orig):
     return lambda l, m: orig(l, m) + 1 if m == 2 else orig(l, m)
 
 
+def _bump_shift_by(j):
+    # p(x + j) for one j; p(x + a) at other a is kept
+    return lambda orig: lambda self, a: orig(self, a) + ONE if a == j else orig(self, a)
+
+
+def _bump_stirling_at_two(orig):
+    return lambda n, k: orig(n, k) + ONE if k == 2 else orig(n, k)
+
+
+def _bump_fourth_power(orig):
+    return lambda self, n: orig(self, n) + ONE if n == 4 else orig(self, n)
+
+
 ROUTE_ROWS = [
     pytest.param(frobenius, "_shift_weights", _flip_first_shift_weight,
                  {"thm1_roundtrip", "eq22_ladder"}, id="evaluation-formula-and-J-weights"),
@@ -250,6 +263,12 @@ ROUTE_ROWS = [
                  {"thm2", "cor3", "cor4", "thm5", "thm6"}, id="split-sum-rows"),
     pytest.param(frobenius, "surjection_sum", _bump_surjections_onto_two,
                  {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}, id="surjection-counts"),
+    pytest.param(XPoly, "shift", _bump_shift_by(1),
+                 {"eq22_ladder"}, id="XPoly-shift-by-one"),
+    pytest.param(frobenius, "stirling_lambda", _bump_stirling_at_two,
+                 {"thm5", "thm6", "remark"}, id="stirling-at-two"),
+    pytest.param(XPoly, "__pow__", _bump_fourth_power,
+                 {"cor4"}, id="XPoly-fourth-power"),
 ]
 
 # Blocks that no identity reaches, with the reason; their unit tests cover them.
@@ -258,6 +277,9 @@ UNCOVERED = [
                  id="XPoly-evaluate: to_fe_basis reads the coefficients of p, not its values"),
     pytest.param(TruncSeries, "recip", _bump_series_coefficient,
                  id="TruncSeries-recip: no identity in the grid takes a negative series power"),
+    pytest.param(XPoly, "shift", _bump_shift_by(3),
+                 id="XPoly-shift-by-three: the grid applies J once (eq22), shifting by 0 and 1; "
+                    "to_fe_basis reads the shift weights, not shifted polynomials"),
 ]
 
 

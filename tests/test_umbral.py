@@ -10,6 +10,7 @@ from math import factorial
 
 import pytest
 
+from feuler import umbral
 from feuler.scalar import LAMBDA, ONE, lrat
 from feuler.umbral import (
     NotInvertibleError,
@@ -162,6 +163,72 @@ def test_pow(monkeypatch):
         for k in (1, 2, 5):
             with pytest.raises(NotInvertibleError):
                 f ** -k
+    assert products == []
+
+
+# denominators mixing powers of 1 - L with 1 + L and 2 - L
+DENOMINATORS = (ONE, (1 - L) ** 3, 1 + L, 2 - L, (1 + L) * (2 - L) * (1 - L))
+
+
+def mixed_series(rng, trunc=6, order=0):
+    """A series t^order u over mixed denominators, u a unit."""
+    cs = [rand_lrat(rng, 1) / rng.choice(DENOMINATORS) for _ in range(trunc + 1)]
+    cs[order] = cs[order] or ONE + L
+    return TruncSeries([0] * order + cs[order:], trunc)
+
+
+def repeated_product(f, k):
+    out = TruncSeries.one(f.trunc)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def test_pow_matches_repeated_products():
+    rng = random.Random(33)
+    for _ in range(4):
+        f = mixed_series(rng)
+        for n in range(-5, 6):
+            if n >= 0:
+                assert f ** n == repeated_product(f, n), n
+            else:
+                assert (f ** n) * repeated_product(f, -n) == TruncSeries.one(f.trunc), n
+        assert f.recip() == f ** -1
+
+
+def test_pow_of_a_series_without_reciprocal():
+    # t^v u for a unit u: f^n = t^(nv) u^n, the zero series once nv > trunc
+    rng = random.Random(34)
+    for order in (1, 2, 3):
+        f = mixed_series(rng, order=order)
+        for n in range(8):  # nv = trunc + 1 at v = 1, n = 7
+            got = f ** n
+            assert got == repeated_product(f, n), (order, n)
+            if order * n > f.trunc:
+                assert got == TruncSeries([0] * (f.trunc + 1))
+        assert f ** 0 == TruncSeries.one(f.trunc)
+    zero = TruncSeries([0, 0, 0])
+    assert zero ** 0 == TruncSeries.one(2) and zero ** 3 == zero
+    with pytest.raises(NotInvertibleError):
+        zero ** -1
+
+
+def test_pow_takes_one_dot_per_coefficient(monkeypatch):
+    # one dot per coefficient past the constant term and no series product,
+    # whatever |n| is
+    dots, products = [], []
+    orig_dot, orig_mul = umbral.dot, TruncSeries.__mul__
+    monkeypatch.setattr(umbral, "dot", lambda terms: dots.append(1) or orig_dot(terms))
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda a, b: products.append(1) or orig_mul(a, b))
+    # the Frobenius-Euler series (e^t - L)/(1 - L) at large |n|, whose powers
+    # stay small; a random series at small |n|
+    fe = TruncSeries([ONE] + [(1 - L).inverse()] * 16)
+    for f, n in ((fe, 3), (fe, -3), (fe, 1200), (fe, -1200),
+                 (mixed_series(random.Random(35), trunc=8), 3),
+                 (mixed_series(random.Random(36), trunc=8), -3)):
+        dots.clear()
+        f ** n
+        assert len(dots) == f.trunc, n
     assert products == []
 
 
