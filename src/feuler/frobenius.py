@@ -84,12 +84,12 @@ def fe_series(r: int, trunc: int) -> TruncSeries:
     """The series ((e^t - L)/(1 - L))^r that the order-r sequence inverts, sliced
     from one power per order: its coefficient k does not depend on trunc."""
     full = _longest_series(r, max(16, 1 << (trunc - 1).bit_length()))
-    return TruncSeries._raw(full.coeffs[:trunc + 1], trunc)
+    return TruncSeries._raw(full.coeffs[:trunc + 1])
 
 
 @lru_cache(maxsize=None)
 def _longest_series(r: int, trunc: int) -> TruncSeries:
-    return TruncSeries._raw((ONE,) + (_INV,) * trunc, trunc) ** r
+    return TruncSeries._raw((ONE,) + (_INV,) * trunc) ** r
 
 
 def _shift_weights(s: int) -> list:

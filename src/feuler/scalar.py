@@ -39,15 +39,18 @@ values coincides with structural (and textual) equality.
   of that once per operation.  ``+`` is the two-term case, each operand
   with its own (e, r).  The result is the pairwise fold's, since the
   canonical form is unique.
-* ``LambdaPoly`` is the input and view type: ascending rational
-  coefficients with no trailing zero.  ``LambdaRat(num, den)`` accepts
-  it, and ``LambdaRat.num`` and ``.den`` build it (``(a / b) * p`` and
-  ``q``) for inspection.  It has no arithmetic of its own.
+* Values enter through ``LambdaRat(num, den)``, each side an int, a
+  Fraction or a sequence of them, ascending in L: ``_split`` puts the
+  coefficients over the lcm of their denominators and takes the content,
+  on ints.  ``lrat`` takes an int or a Fraction only.  ``LambdaPoly`` is
+  a bare record of Fraction coefficients with no trailing zero, and no
+  behaviour: ``LambdaRat(num, den)`` reads it like a sequence, and
+  ``.num`` and ``.den`` return it (``(a / b) * p`` and ``q``).
 * One term walker, ``_render``, prints every polynomial in L from the
-  ints ``(a, b, p)``, plain or LaTeX: ``str`` of both types,
-  ``embed_str``, ``XPoly`` and the CLI's LaTeX.  Hashes come from ``(a,
-  b, p, e, r)``, a constant's as the rational it equals, so equal values
-  of the three types hash equal.
+  ints ``(a, b, p)``, plain or LaTeX: ``str``, ``embed_str``, ``XPoly``
+  and the CLI's LaTeX.  Hashes come from ``(a, b, p, e, r)``, a
+  constant's as the rational it equals, so equal values among
+  ``LambdaRat``, ``XPoly`` and the rationals hash equal.
 """
 
 from __future__ import annotations
@@ -424,7 +427,8 @@ def _hash(a: int, b: int, p, e: int, r) -> int:
 # ---------------------------------------------------------------------------
 
 class LambdaPoly:
-    """Polynomial in L with exact rational coefficients, stored ascending."""
+    """Ascending rational coefficients in L, no trailing zero: a record that
+    ``LambdaRat(num, den)`` reads and ``.num``/``.den`` return."""
 
     __slots__ = ("coeffs",)
 
@@ -434,63 +438,27 @@ class LambdaPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def _raw(cls, coeffs: tuple) -> "LambdaPoly":
-        # trusted: coeffs already a trimmed tuple of Fraction
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        return self
-
-    @property
-    def degree(self):
-        """Degree, with the zero polynomial at -infinity."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def evaluate(self, point) -> Fraction:
-        """Value at a rational point, by Horner's rule."""
-        return _horner(self.coeffs, point)
-
-    def __eq__(self, other):
-        if isinstance(other, LambdaPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == ((other,) if other else ())
-        return NotImplemented
-
-    def __hash__(self):
-        # the split form, so that the equal LambdaRat hashes alike
-        return _hash(*_split(self), 0, (1,))
-
-    def __str__(self):
-        return _render(*_split(self))
-
-    def __repr__(self):
-        return f"LambdaPoly({self})"
-
 
 def _split(value) -> tuple:
-    """(a, b, primitive int tuple) of a LambdaPoly, a rational or a
-    coefficient sequence, whose content a / b is in lowest terms; zero
+    """(a, b, primitive int tuple) of an int, a Fraction, a LambdaPoly or an
+    int/Fraction sequence, whose content a / b is in lowest terms; zero
     splits into (0, 1, ())."""
     if isinstance(value, (int, Fraction)):
         value = (value,)
-    if not isinstance(value, LambdaPoly):
-        value = LambdaPoly(value)
-    if not value.coeffs:
-        return 0, 1, ()
+    elif isinstance(value, LambdaPoly):
+        value = value.coeffs
+    elif not isinstance(value, (list, tuple)):
+        value = tuple(value)
     den = 1
-    for c in value.coeffs:
+    for c in value:
         d = c.denominator
-        den = den // gcd(den, d) * d
+        if den % d:
+            den = den // gcd(den, d) * d
     # each prime of den misses some scaled numerator: g / den is reduced
-    g, prim = _iprim([c.numerator * (den // c.denominator) for c in value.coeffs])
+    nums = _itrim([c.numerator * (den // c.denominator) for c in value])
+    if not nums:
+        return 0, 1, ()
+    g, prim = _iprim(nums)
     return g, den, tuple(prim)
 
 
@@ -537,12 +505,12 @@ class LambdaRat:
     def num(self) -> LambdaPoly:
         """The numerator (a / b) * p, as a LambdaPoly view."""
         a, b = self.a, self.b
-        return LambdaPoly._raw(tuple(Fraction(a * v, b) for v in self.p))
+        return LambdaPoly([Fraction(a * v, b) for v in self.p])
 
     @property
     def den(self) -> LambdaPoly:
         """The denominator q, as a LambdaPoly view."""
-        return LambdaPoly._raw(tuple(Fraction(v) for v in self.q))
+        return LambdaPoly(self.q)
 
     @property
     def is_zero(self) -> bool:
@@ -663,13 +631,11 @@ def _coerce(value):
         return value
     if isinstance(value, (int, Fraction)):
         return LambdaRat._make(value.numerator, value.denominator, (1,)) if value else ZERO
-    if isinstance(value, LambdaPoly):
-        return LambdaRat._make(*_split(value))
     return NotImplemented
 
 
 def lrat(value) -> LambdaRat:
-    """Coerce an int, Fraction, or LambdaPoly into Q(L)."""
+    """Coerce an int or a Fraction into Q(L); a LambdaRat passes through."""
     out = _coerce(value)
     if out is NotImplemented:
         raise TypeError(f"cannot coerce {type(value).__name__} into Q(L)")

@@ -1,12 +1,12 @@
 """Truncated exponential series acting on polynomials.
 
 A series f(t) = sum_k a_k t^k / k! is kept as the tuple of its divided
-coefficients a_0..a_N together with the truncation bound N.  In this
-representation multiplication is binomial convolution and the pairing
-with polynomials is a plain dot product (<f | x^n> = a_n): ``functional``
-is f as a linear functional on ``XPoly``.  As an operator t^k acts on p
-as the k-th derivative, and ``appell_expand(g, p)`` is the coefficient
-list of g(t)p(x), which is p in the Appell basis of g.
+coefficients a_0..a_N alone; the truncation bound N is its length less
+one.  In this representation multiplication is binomial convolution and
+the pairing with polynomials is a plain dot product (<f | x^n> = a_n):
+``functional`` is f as a linear functional on ``XPoly``.  As an operator
+t^k acts on p as the k-th derivative, and ``appell_expand(g, p)`` is the
+coefficient list of g(t)p(x), which is p in the Appell basis of g.
 
 A power f^n of a unit f, n of either sign, comes from J.C.P. Miller's
 recurrence (Knuth, TAOCP vol. 2, 4.7), read off f h' = n f' h for h = f^n:
@@ -35,7 +35,7 @@ class TruncationError(ValueError):
 class TruncSeries:
     """Exponential power series truncated past degree ``trunc``."""
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=(), trunc=None):
         cs = [lrat(c) for c in coeffs]
@@ -46,37 +46,41 @@ class TruncSeries:
         del cs[trunc + 1:]
         cs += [ZERO] * (trunc + 1 - len(cs))
         self.coeffs = tuple(cs)
-        self.trunc = trunc
 
     @classmethod
-    def _raw(cls, coeffs: tuple, trunc: int) -> "TruncSeries":
+    def _raw(cls, coeffs: tuple) -> "TruncSeries":
+        # trusted: a nonempty tuple of LambdaRat, one per kept degree
         self = object.__new__(cls)
         self.coeffs = coeffs
-        self.trunc = trunc
         return self
 
     @classmethod
     def one(cls, trunc: int) -> "TruncSeries":
-        return cls._raw((ONE,) + (ZERO,) * trunc, trunc)
+        return cls._raw((ONE,) + (ZERO,) * trunc)
+
+    @property
+    def trunc(self) -> int:
+        """The truncation bound: the highest degree kept."""
+        return len(self.coeffs) - 1
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.coeffs, self.trunc))
+        return hash(self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             s = _coerce(other)
             if s is NotImplemented:
                 return NotImplemented
-            return TruncSeries._raw(tuple(c * s for c in self.coeffs), self.trunc)
+            return TruncSeries._raw(tuple(c * s for c in self.coeffs))
         n = min(self.trunc, other.trunc)
         a, b = self.coeffs, other.coeffs
         out = tuple(dot((comb(m, k), a[k], b[m - k]) for k in range(m + 1)) for m in range(n + 1))
-        return TruncSeries._raw(out, n)
+        return TruncSeries._raw(out)
 
     __rmul__ = __mul__
 
@@ -85,7 +89,7 @@ class TruncSeries:
         cs = self.coeffs
         out = (ZERO,) * min(k, self.trunc + 1) + tuple(
             cs[m - k] * perm(m, k) if cs[m - k].p else ZERO for m in range(k, self.trunc + 1))
-        return TruncSeries._raw(out, self.trunc)
+        return TruncSeries._raw(out)
 
     def recip(self) -> "TruncSeries":
         """Multiplicative inverse, the power -1; needs a nonzero constant term."""
@@ -103,16 +107,16 @@ class TruncSeries:
                 raise NotInvertibleError("series of order >= 1 has no reciprocal")
             v = next((k for k, c in enumerate(a) if c.p), top + 1)
             if n * v > top:
-                return TruncSeries._raw((ZERO,) * (top + 1), top)
+                return TruncSeries._raw((ZERO,) * (top + 1))
             unit = TruncSeries._raw(tuple(a[j + v] * Fraction(1, perm(j + v, v))
-                                          for j in range(top + 1 - n * v)), top - n * v)
-            return TruncSeries._raw((unit ** n).coeffs + (ZERO,) * (n * v), top).mul_t_power(n * v)
+                                          for j in range(top + 1 - n * v)))
+            return TruncSeries._raw((unit ** n).coeffs + (ZERO,) * (n * v)).mul_t_power(n * v)
         inv = a[0].inverse()
         out = [a[0] ** n]
         for m in range(1, top + 1):
             s = dot((comb(m, k) * ((n + 1) * k - m), a[k], out[m - k]) for k in range(1, m + 1))
             out.append(s * (inv * Fraction(1, m)))
-        return TruncSeries._raw(tuple(out), top)
+        return TruncSeries._raw(tuple(out))
 
     def functional(self, p: XPoly) -> LambdaRat:
         """<f | p>: the linear functional with <t^k | x^n> = n! delta."""

@@ -18,7 +18,7 @@ def times_one_minus_l(coeffs, k):
 def rand_lpoly(rng, max_deg=2, zero_ok=True):
     deg = rng.randint(0, max_deg)
     p = LambdaPoly([rng.randint(-5, 5) for _ in range(deg + 1)])
-    if not zero_ok and p.is_zero:
+    if not zero_ok and not p.coeffs:
         return LambdaPoly([1])
     return p
 

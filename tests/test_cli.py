@@ -529,19 +529,16 @@ def test_cli_verify_r_domains():
 
 
 def test_cli_verify_reproduces_suite_cells():
+    # every cell of a grid smaller than the round-trip draws, thm1's by --index alone
     seen = set()
-    for cell in reversed(suite.run_suite(2, 1, 1).cells):
-        if cell.identity == "thm1_roundtrip" or cell.identity in seen:
-            continue
+    for cell in suite.run_suite(2, 1, 1).cells:
         seen.add(cell.identity)
         argv = ["verify", "--identity", cell.identity, "--format", "json"]
-        for name, value in cell.params.items():
+        params = {"index": cell.params["index"]} if cell.identity == "thm1_roundtrip" else cell.params
+        for name, value in params.items():
             argv += [f"--{name}", str(value)]
-        code, out, _ = run_cli(*argv)
-        got = json.loads(out)
-        assert code == 0
-        assert (got["status"], got["lhs"], got["rhs"]) == (cell.status, cell.lhs, cell.rhs)
-    assert seen == set(suite.IDENTITY_IDS) - {"thm1_roundtrip"}
+        assert run_cli(*argv) == (0, cell.to_json() + "\n", ""), argv
+    assert seen == set(suite.IDENTITY_IDS)
 
 
 def test_cli_verify_index_is_roundtrip_input():
@@ -607,7 +604,6 @@ def test_cli_suite_json_is_report_jsonl():
     assert code == 0
     report = suite.run_suite(2, 1, 1)
     assert out == report.to_jsonl()
-    assert suite.VerificationReport.from_jsonl(out).totals() == report.totals()
 
 
 def test_cli_suite_parallel_same_bytes():

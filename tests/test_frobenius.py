@@ -302,7 +302,7 @@ def test_series_slices_match_a_fresh_power(monkeypatch):
     inv = (ONE - L).inverse()
     for r in range(-3, 7):
         for trunc in range(41):
-            fresh = TruncSeries._raw((ONE,) + (inv,) * trunc, trunc) ** r
+            fresh = TruncSeries._raw((ONE,) + (inv,) * trunc) ** r
             assert fe_series(r, trunc) == fresh, (r, trunc)
     built = []
     power = TruncSeries.__pow__
@@ -483,10 +483,10 @@ def test_lambda_zero_specialization():
 def test_number_denominators_are_powers_of_one_minus_lambda():
     for r in range(1, 5):
         for n, h in enumerate(fe_numbers(8, r)):
-            d = h.den.degree
+            d = len(h.den.coeffs) - 1
             if d <= 0:
                 continue
-            assert h.den == ((ONE - LAMBDA) ** int(d)).num
+            assert h.den.coeffs == ((ONE - LAMBDA) ** d).num.coeffs
 
 
 def test_order_one_numbers_are_eulerian_polynomials_up_to_60():

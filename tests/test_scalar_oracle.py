@@ -72,7 +72,7 @@ def _pair(rng, i):
     if i % 3 == 0:
         return a, lrat(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)))
     if i % 3 == 1:
-        return a, a + rand_lpoly(rng, max_deg=3)
+        return a, a + LambdaRat(rand_lpoly(rng, max_deg=3))
     return a, rand_lrat(rng, max_deg=3)
 
 

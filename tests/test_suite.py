@@ -16,7 +16,6 @@ from feuler.suite import (
     IDENTITIES,
     IDENTITY_IDS,
     Cell,
-    VerificationReport,
     roundtrip_inputs,
     run_suite,
     verify_cor3,
@@ -88,29 +87,13 @@ def test_small_grid_all_equal():
 
 
 def test_report_serialization_round_trip():
-    rep = run_suite(3, 1, 1)
-    text = rep.to_jsonl()
-    back = VerificationReport.from_jsonl(text)
-    assert back == rep
-    assert back.to_jsonl() == text
+    text = run_suite(3, 1, 1).to_jsonl()
     lines = text.strip().split("\n")
     import json
     summary = json.loads(lines[-1])
     assert summary["grid"] == {"n_max": 3, "r_max": 1, "s_max": 1}
     first = json.loads(lines[0])
     assert list(first) == ["identity", "params", "status", "lhs", "rhs", "elapsed_us"]
-
-
-def test_summary_validation():
-    rep = run_suite(2, 1, 1)
-    text = rep.to_jsonl()
-    tampered = text.rsplit("\n", 2)
-    # corrupt the summary's equal count
-    import json
-    summary = json.loads(tampered[1])
-    summary["equal"] += 1
-    with pytest.raises(ValueError):
-        VerificationReport.from_jsonl("\n".join([tampered[0], json.dumps(summary), ""]))
 
 
 def test_parallel_run_is_byte_identical():
@@ -172,16 +155,18 @@ def test_registry_names_the_verify_functions():
 def test_small_grid_digests_are_pinned():
     # report bytes are part of the output contract: a change of plan order shows here
     for grid, digest in (
-            ((2, 1, 1), "63c922d19b2f572a20c5f8de341bc9d150e7a7607870a5d8de945b78f55d7578"),
-            ((3, 2, 2), "91909fe6872f985f35ee25273be5ed430a27fa56fd5b9c2c319583f39dfd4cfd")):
+            ((2, 1, 1), "d52147056252c569f638e3bd93a110282812fbddc7902b0fe57f10ea18386ae9"),
+            ((3, 2, 2), "3f93811956bba9f165e02b22ccaf402b778252272a609874e9de5edc14081ae8")):
         assert hashlib.sha256(run_suite(*grid).to_jsonl().encode()).hexdigest() == digest
 
 
 def test_plan_draws_the_roundtrip_inputs():
-    for seed in (DEFAULT_SEED, 5):
-        drawn = [(args["p"], args["r"]) for ident, args in suite._plan(10, 4, 0, seed)
-                 if ident == "thm1_roundtrip"]
-        assert drawn == list(roundtrip_inputs(seed, 100))
+    # one draw rule for every grid, the one that verify --index reads
+    for grid in ((10, 4, 0), (2, 1, 1), (0, 0, 0)):
+        for seed in (DEFAULT_SEED, 5):
+            drawn = [(args["p"], args["r"]) for ident, args in suite._plan(*grid, seed)
+                     if ident == "thm1_roundtrip"]
+            assert drawn == list(roundtrip_inputs(seed, 100)), (grid, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +187,7 @@ def _bump_series_coefficient(orig):
         out = orig(self, *args)
         if out.trunc < 1:
             return out
-        return TruncSeries._raw((out.coeffs[0], out.coeffs[1] + ONE) + out.coeffs[2:], out.trunc)
+        return TruncSeries._raw((out.coeffs[0], out.coeffs[1] + ONE) + out.coeffs[2:])
     return bumped
 
 
