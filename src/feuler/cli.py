@@ -32,11 +32,14 @@ from .xpoly import X, XPoly
 
 
 MAX_DEPTH = 100  # parentheses and unary minus signs, counted together
-MAX_DEGREE = 1000  # powers in x and L; convert --order; stirling --n/--k; verify |--r|/--s/--k
+MAX_DEGREE = 1000  # powers in x and L; convert --order; stirling --n/--k; verify ±--r, --s, --k
 MAX_BITS = 10000  # of a parsed coefficient's integers; str() of an int fails past 4300 digits
-MAX_INDEX = 9999  # of verify's thm1_roundtrip --index: each earlier input is drawn first
+MAX_OUT_BITS = 14284  # of a value's integers at --lambda: 2^14284 < 10^4300, str()'s limit
+MAX_INDEX = 9999  # verify's thm1_roundtrip --index: each earlier input is drawn first
 MAX_ROW = 400  # numbers' --n-max and poly's --n: about 2 s and 50 MB of output at the cap
+MAX_ORDER = 10 ** 6  # numbers' and poly's --order, either sign: about 5 s at --n-max 400
 MAX_CELL_N = 150  # verify's --n: thm2 --n 150 --r 6 --s 3 takes about 1 s and prints 4.6 MB
+MAX_JOBS = 64  # suite's --jobs: the process pool starts all its workers at once
 
 
 class PolyParseError(ValueError):
@@ -255,18 +258,37 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
-def _at_least(least: int):
-    """argparse type: an integer no less than `least`."""
+def _int_in(least=None, most=None):
+    """argparse type: an integer from `least` to `most`; an end left None is open."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < least:
+        if least is not None and value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
     parse.__name__ = "int"  # argparse reports a malformed value as "invalid int value"
     return parse
 
 
-_NATURAL = _at_least(0)
+class TooLargeToPrint(ValueError):
+    """A value at --lambda with an integer that str() may not convert."""
+
+
+def _at_lambda(values, lam: Fraction) -> list:
+    """Each value of Q(L) at lam.  Raises PoleError at a pole, and TooLargeToPrint
+    when a value would print an integer past MAX_OUT_BITS bits: estimated first
+    as the degree in L times lam's bits, which bounds the time, then checked."""
+    def bits(v: Fraction) -> int:
+        return max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+
+    degree = max((max(len(v.p), v.e + len(v.r)) - 1 for v in values), default=0)
+    if degree * bits(lam) <= MAX_OUT_BITS:
+        out = [v.evaluate(lam) for v in values]
+        if all(bits(v) <= MAX_OUT_BITS for v in out):
+            return out
+    raise TooLargeToPrint(f"a value at this lambda would print an integer of more than "
+                          f"{MAX_OUT_BITS} bits")
 
 
 def _csv_text(header, rows) -> str:
@@ -296,14 +318,6 @@ def _emit_row(args, header, row, latex) -> str:
     return _emit_table(args, header, [row], [latex], dict(zip(header, row)))
 
 
-def _over_cap(command: str, option: str, value: int, cap: int) -> bool:
-    """A value past a cap on the work of one call, reported; the call exits 2."""
-    if value <= cap:
-        return False
-    sys.stderr.write(f"error: {command} needs {option} <= {cap}\n")
-    return True
-
-
 def _cells_csv(cells) -> str:
     return _csv_text(("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
                      [(c.identity, suite_mod._json_text(c.params, sort_keys=True), c.status,
@@ -311,13 +325,11 @@ def _cells_csv(cells) -> str:
 
 
 def _cmd_numbers(args, seed: int) -> int:
-    if _over_cap("numbers", "--n-max", args.n_max, MAX_ROW):
-        return 2
     r = args.order
     values = frobenius.fe_numbers(args.n_max, r)
     at = "(\\lambda)"
     if args.lam is not None:
-        values = [v.evaluate(args.lam) for v in values]
+        values = _at_lambda(values, args.lam)
         at = ""
     latex = [f"H_{{{n}}}^{{({r})}}{at} = {latex_lrat(v)} \\\\" for n, v in enumerate(values)]
     rows = [(n, str(v)) for n, v in enumerate(values)]
@@ -327,32 +339,20 @@ def _cmd_numbers(args, seed: int) -> int:
 
 
 def _cmd_poly(args, seed: int) -> int:
-    if _over_cap("poly", "--n", args.n, MAX_ROW):
-        return 2
     p = frobenius.fe_poly(args.n, args.order)
     if args.lam is not None:
-        p = XPoly([lrat(c.evaluate(args.lam)) for c in p.coeffs])
+        p = XPoly(_at_lambda(p.coeffs, args.lam))
     latex = f"H_{{{args.n}}}^{{({args.order})}}(x\\mid\\lambda) = {latex_xpoly(p)}"
     sys.stdout.write(_emit_row(args, ("n", "order", "poly"), (args.n, args.order, str(p)), latex))
     return 0
 
 
 def _cmd_convert(args, seed: int) -> int:
-    if _over_cap("convert", "--order", args.order, MAX_DEGREE):
-        return 2
-    try:
-        p = parse_poly_expr(args.poly)
-    except PolyParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    p = parse_poly_expr(args.poly)
     e = frobenius.to_fe_basis(p, args.order)
     coeffs = list(e.coefficients)
     if args.lam is not None:
-        try:
-            coeffs = [c.evaluate(args.lam) for c in coeffs]
-        except PoleError as exc:
-            sys.stderr.write(f"error: a coefficient has a {exc}\n")
-            return 2
+        coeffs = _at_lambda(coeffs, args.lam)
     latex = [f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs)]
     rows = [(k, str(c)) for k, c in enumerate(coeffs)]
     obj = {"order": args.order, "poly": str(p),
@@ -362,12 +362,9 @@ def _cmd_convert(args, seed: int) -> int:
 
 
 def _cmd_stirling(args, seed: int) -> int:
-    if any(_over_cap("stirling", option, value, MAX_DEGREE)
-           for option, value in (("--n", args.n), ("--k", args.k))):
-        return 2
     v = frobenius.stirling_lambda(args.n, args.k)
     if args.lam is not None:
-        v = v.evaluate(args.lam)
+        [v] = _at_lambda([v], args.lam)
     latex = f"S_{{\\lambda}}({args.n},{args.k}) = {latex_lrat(v)}"
     sys.stdout.write(_emit_row(args, ("n", "k", "value"), (args.n, args.k, str(v)), latex))
     return 0
@@ -380,11 +377,6 @@ def _cmd_verify(args, seed: int) -> int:
         f"--{name} >= {lo}" for name, lo in least.items() if lo is not None and values[name] < lo]
     if unmet:
         sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
-        return 2
-    # an order may be negative, so --r is capped in absolute value
-    caps = {"n": MAX_CELL_N, "r": MAX_DEGREE, "s": MAX_DEGREE, "k": MAX_DEGREE, "index": MAX_INDEX}
-    if any(_over_cap(args.identity, "|--r|" if name == "r" else f"--{name}", abs(v), caps[name])
-           for name, v in values.items()):
         return 2
     if args.identity == "thm1_roundtrip":
         draws = suite_mod.roundtrip_inputs(seed, args.index + 1)
@@ -443,45 +435,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("numbers", parents=[fmt, lam],
                        help="table of H_n^{(r)}(L) for n = 0..n-max")
-    p.add_argument("--n-max", type=_NATURAL, default=10)
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--n-max", type=_int_in(0, MAX_ROW), default=10)
+    p.add_argument("--order", type=_int_in(-MAX_ORDER, MAX_ORDER), default=1)
     p.set_defaults(run=_cmd_numbers)
 
     p = sub.add_parser("poly", parents=[fmt, lam],
                        help="the polynomial H_n^{(r)}(x|L)")
-    p.add_argument("--n", type=_NATURAL, required=True)
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--n", type=_int_in(0, MAX_ROW), required=True)
+    p.add_argument("--order", type=_int_in(-MAX_ORDER, MAX_ORDER), default=1)
     p.set_defaults(run=_cmd_poly)
 
     p = sub.add_parser("convert", parents=[fmt, lam],
                        help="expand a polynomial expression in the order-r basis")
     p.add_argument("--poly", required=True, metavar="EXPR")
-    p.add_argument("--order", type=_NATURAL, default=1)
+    p.add_argument("--order", type=_int_in(0, MAX_DEGREE), default=1)
     p.set_defaults(run=_cmd_convert)
 
     p = sub.add_parser("stirling", parents=[fmt, lam],
                        help="the L-analogue Stirling number S_L(n,k)")
-    p.add_argument("--n", type=_NATURAL, required=True)
-    p.add_argument("--k", type=_NATURAL, required=True)
+    p.add_argument("--n", type=_int_in(0, MAX_DEGREE), required=True)
+    p.add_argument("--k", type=_int_in(0, MAX_DEGREE), required=True)
     p.set_defaults(run=_cmd_stirling)
 
     p = sub.add_parser("verify", parents=[fmt],
                        help="run one identity cell")
     p.add_argument("--identity", required=True, choices=suite_mod.IDENTITY_IDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--index", type=int)
+    # only the work caps: suite.IDENTITIES holds each identity's lower bounds
+    p.add_argument("--n", type=_int_in(most=MAX_CELL_N))
+    p.add_argument("--r", type=_int_in(-MAX_DEGREE, MAX_DEGREE))
+    p.add_argument("--s", type=_int_in(most=MAX_DEGREE))
+    p.add_argument("--k", type=_int_in(most=MAX_DEGREE))
+    p.add_argument("--index", type=_int_in(most=MAX_INDEX))
     p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("suite", parents=[fmt],
                        help="run the full identity grid and report")
-    p.add_argument("--n-max", type=_NATURAL, default=10)
-    p.add_argument("--r-max", type=_NATURAL, default=4)
-    p.add_argument("--s-max", type=_NATURAL, default=4)
-    p.add_argument("--jobs", type=_at_least(1), default=1)
+    p.add_argument("--n-max", type=_int_in(0), default=10)
+    p.add_argument("--r-max", type=_int_in(0), default=4)
+    p.add_argument("--s-max", type=_int_in(0), default=4)
+    p.add_argument("--jobs", type=_int_in(1, MAX_JOBS), default=1)
     p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
     p.set_defaults(run=_cmd_suite)
 
@@ -502,7 +495,11 @@ def main(argv=None) -> int:
         except ValueError:
             sys.stderr.write(f"error: FEULER_SEED={env_seed!r} is not an integer\n")
             return 2
-    return args.run(args, seed)
+    try:
+        return args.run(args, seed)
+    except (PolyParseError, PoleError, TooLargeToPrint) as exc:  # of --poly or at --lambda
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 def entry():  # console-script hook

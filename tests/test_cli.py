@@ -18,6 +18,8 @@ from feuler.cli import (
     MAX_DEGREE,
     MAX_DEPTH,
     MAX_INDEX,
+    MAX_ORDER,
+    MAX_OUT_BITS,
     MAX_ROW,
     PolyParseError,
     latex_lrat,
@@ -240,6 +242,7 @@ def test_cli_work_limits_are_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "MAX_INDEX", 2)
     monkeypatch.setattr(cli, "MAX_ROW", 2)
     monkeypatch.setattr(cli, "MAX_CELL_N", 2)
+    monkeypatch.setattr(cli, "MAX_ORDER", 3)
     assert run_cli("convert", "--poly", "x", "--order", "3")[0] == 0
     assert run_cli("convert", "--poly", "x", "--order", "4")[:2] == (2, "")
     assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "2")[0] == 0
@@ -248,6 +251,12 @@ def test_cli_work_limits_are_inclusive(monkeypatch):
     assert run_cli("numbers", "--n-max", "3")[:2] == (2, "")
     assert run_cli("poly", "--n", "2")[0] == 0
     assert run_cli("poly", "--n", "3")[:2] == (2, "")
+    for order in ("3", "-3"):
+        assert run_cli("numbers", "--n-max", "2", "--order", order)[0] == 0
+        assert run_cli("poly", "--n", "2", "--order", order)[0] == 0
+    for order in ("4", "-4"):
+        assert run_cli("numbers", "--n-max", "2", "--order", order)[:2] == (2, "")
+        assert run_cli("poly", "--n", "2", "--order", order)[:2] == (2, "")
     assert run_cli("stirling", "--n", "3", "--k", "3")[0] == 0
     assert run_cli("stirling", "--n", "4", "--k", "2")[:2] == (2, "")
     assert run_cli("stirling", "--n", "3", "--k", "4")[:2] == (2, "")
@@ -256,6 +265,17 @@ def test_cli_work_limits_are_inclusive(monkeypatch):
     for cell in ("thm2 --n 3 --r 1 --s 1", "thm2 --n 1 --r 4 --s 1", "thm2 --n 1 --r 1 --s 4",
                  "eq12_ladder --n 2 --r -4", "eq15_duality --n 2 --r 1 --k 4"):
         assert run_cli("verify", "--identity", *cell.split())[:2] == (2, "")
+
+
+def test_cli_jobs_cap_is_inclusive(monkeypatch):
+    # the process pool starts all its workers at once, so the cap is only
+    # ever tried lowered: a --jobs past it must not reach the pool
+    monkeypatch.setattr(cli, "MAX_JOBS", 2)
+    grid = ("suite", "--n-max", "1", "--r-max", "1", "--s-max", "1")
+    assert run_cli(*grid, "--jobs", "2")[0] == 0
+    code, out, err = run_cli(*grid, "--jobs", "3")
+    assert (code, out) == (2, "")
+    assert "--jobs: must be <= 2, got 3" in err
 
 
 def test_parse_limits_are_inclusive():
@@ -370,7 +390,8 @@ def test_cli_verify_roundtrip_seeded():
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(argv, message, id=" ".join(argv)) for argv, message in (
+    pytest.param(argv, message, id=" ".join(a if len(a) < 20 else f"<{len(a)} chars>" for a in argv))
+    for argv, message in (
         (("verify", "--identity", "thm1_roundtrip", "--index", "-1"), "needs --index >= 0"),
         (("verify", "--identity", "thm2", "--n", "2", "--r", "1", "--s", "-1"), "needs --s >= 0"),
         (("verify", "--identity", "eq15_duality", "--n", "2", "--k", "-1", "--r", "1"),
@@ -387,30 +408,42 @@ def test_cli_verify_roundtrip_seeded():
         (("convert", "--poly", "1/(1+L)", "--lambda", "-1"), "pole at L = -1"),
         # past the caps on the work of one call, exit 2 at once
         (("convert", "--poly", "x", "--order", str(MAX_DEGREE + 1)),
-         f"convert needs --order <= {MAX_DEGREE}"),
+         f"--order: must be <= {MAX_DEGREE}"),
         (("verify", "--identity", "thm1_roundtrip", "--index", str(MAX_INDEX + 1)),
-         f"thm1_roundtrip needs --index <= {MAX_INDEX}"),
+         f"--index: must be <= {MAX_INDEX}"),
         (("verify", "--identity", "thm1_roundtrip", "--index", "100000000"),
-         f"thm1_roundtrip needs --index <= {MAX_INDEX}"),
-        (("numbers", "--n-max", str(MAX_ROW + 1)), f"numbers needs --n-max <= {MAX_ROW}"),
-        (("numbers", "--n-max", "999999"), f"numbers needs --n-max <= {MAX_ROW}"),
-        (("poly", "--n", str(MAX_ROW + 1)), f"poly needs --n <= {MAX_ROW}"),
+         f"--index: must be <= {MAX_INDEX}"),
+        (("numbers", "--n-max", str(MAX_ROW + 1)), f"--n-max: must be <= {MAX_ROW}"),
+        (("numbers", "--n-max", "999999"), f"--n-max: must be <= {MAX_ROW}"),
+        (("poly", "--n", str(MAX_ROW + 1)), f"--n: must be <= {MAX_ROW}"),
         (("stirling", "--n", str(MAX_DEGREE + 1), "--k", "2"),
-         f"stirling needs --n <= {MAX_DEGREE}"),
+         f"--n: must be <= {MAX_DEGREE}"),
         (("stirling", "--n", "3", "--k", str(MAX_DEGREE + 1)),
-         f"stirling needs --k <= {MAX_DEGREE}"),
+         f"--k: must be <= {MAX_DEGREE}"),
         (("verify", "--identity", "thm2", "--n", str(MAX_CELL_N + 1), "--r", "2", "--s", "1"),
-         f"thm2 needs --n <= {MAX_CELL_N}"),
+         f"--n: must be <= {MAX_CELL_N}"),
         (("verify", "--identity", "eq22_ladder", "--n", "999999", "--r", "1"),
-         f"eq22_ladder needs --n <= {MAX_CELL_N}"),
+         f"--n: must be <= {MAX_CELL_N}"),
         (("verify", "--identity", "thm5", "--n", "3", "--r", str(MAX_DEGREE + 1)),
-         f"thm5 needs |--r| <= {MAX_DEGREE}"),
+         f"--r: must be <= {MAX_DEGREE}"),
         (("verify", "--identity", "eq12_ladder", "--n", "3", "--r", str(-MAX_DEGREE - 1)),
-         f"eq12_ladder needs |--r| <= {MAX_DEGREE}"),
+         f"--r: must be >= {-MAX_DEGREE}"),
         (("verify", "--identity", "thm2", "--n", "3", "--r", "2", "--s", str(MAX_DEGREE + 1)),
-         f"thm2 needs --s <= {MAX_DEGREE}"),
+         f"--s: must be <= {MAX_DEGREE}"),
         (("verify", "--identity", "eq15_duality", "--n", "3", "--r", "2", "--k",
-          str(MAX_DEGREE + 1)), f"eq15_duality needs --k <= {MAX_DEGREE}"),
+          str(MAX_DEGREE + 1)), f"--k: must be <= {MAX_DEGREE}"),
+        # a cap holds even where the identity does not read the option
+        (("verify", "--identity", "thm2", "--n", "3", "--r", "2", "--s", "1", "--index",
+          str(MAX_INDEX + 1)), f"--index: must be <= {MAX_INDEX}"),
+        # each used to print an integer past str()'s 4300 digits: a traceback
+        # and exit 1, after 29 s of evaluation for the 200-digit lambda
+        (("numbers", "--n-max", "10", "--order", "1" + "0" * 500),
+         f"--order: must be <= {MAX_ORDER}"),
+        (("poly", "--n", "10", "--order", "-1" + "0" * 500), f"--order: must be >= {-MAX_ORDER}"),
+        (("stirling", "--n", "1000", "--k", "1000", "--lambda", "10000"),
+         f"would print an integer of more than {MAX_OUT_BITS} bits"),
+        (("numbers", "--n-max", "400", "--lambda", "7" * 200),
+         f"would print an integer of more than {MAX_OUT_BITS} bits"),
         (("numbers", "--n-max", "-1"), "--n-max: must be >= 0"),
         # each used to end in a TypeError traceback, or in JSON for --format
         (("poly", "--n=--"), "'--' is not an option value"),
@@ -427,16 +460,19 @@ def test_cli_out_of_domain_exits_2(argv, message):
 def _argv_strategy():
     """argv for every command: grammar expressions nested past MAX_DEPTH and
     powers past MAX_DEGREE, malformed strings, and small, out-of-domain or
-    just-past-the-cap numbers, and constants past MAX_BITS and products past
-    MAX_DEGREE.  Numbers under the caps stay small, so that every run is
-    cheap: suite's --n-max has no cap, and free-form expressions are at
-    most 8 characters."""
+    just-past-the-cap numbers, constants past MAX_BITS and products past
+    MAX_DEGREE, a 501-digit order, and lambdas whose values print past
+    MAX_OUT_BITS or that have too many digits to read.  Numbers under the
+    caps stay small, so that every run is cheap: suite's --n-max has no
+    cap, --jobs is never drawn past 1 since the pool would start every
+    worker, and free-form expressions are at most 8 characters."""
     from hypothesis import strategies as st
 
     small = st.integers(-3, 6).map(str)
     word = st.sampled_from(["", "x", "1.5", "1/2", "--", "1e3", " 3", "\u0663", "\u00b2"])
     number = st.one_of(small, word)
-    lam = st.sampled_from(["1", "-1", "2", "1/2", "-3", "1/0", "x", "0"])
+    lam = st.sampled_from(["1", "-1", "2", "1/2", "-3", "1/0", "x", "0", "7" * 3000,
+                           "1/" + "9" * 5000])
     fmt = st.sampled_from(["plain", "latex", "csv", "json", "xml"])
     exponent = st.one_of(st.integers(0, 3), st.integers(MAX_DEGREE + 1, 10 * MAX_DEGREE))
     atom = st.one_of(st.sampled_from(["x", "L", "0", "(1 - L)", "(x + L)"]),
@@ -455,6 +491,7 @@ def _argv_strategy():
                      st.text(max_size=8))
     row = st.one_of(number, st.just(str(MAX_ROW + 1)))
     degree = st.one_of(number, st.just(str(MAX_DEGREE + 1)))
+    order = st.one_of(number, st.sampled_from([str(MAX_ORDER + 1), "-1" + "0" * 500]))
     convert_options = {"--order": degree, "--lambda": lam, "--format": fmt}
 
     def command(name, required, optional):
@@ -465,9 +502,9 @@ def _argv_strategy():
                          flags)
 
     return st.one_of(
-        command("numbers", {}, {"--n-max": row, "--order": number, "--lambda": lam,
+        command("numbers", {}, {"--n-max": row, "--order": order, "--lambda": lam,
                                 "--format": fmt}),
-        command("poly", {"--n": row}, {"--order": number, "--lambda": lam, "--format": fmt}),
+        command("poly", {"--n": row}, {"--order": order, "--lambda": lam, "--format": fmt}),
         command("convert", {"--poly": poly}, convert_options),
         command("convert", {"--poly": nested}, convert_options),
         command("convert", {"--poly": st.sampled_from(PAST_MAX_BITS + PAST_MAX_DEGREE)},
