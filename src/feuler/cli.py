@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -321,10 +320,10 @@ def _emit_row(args, header, row, latex) -> str:
 def _cells_csv(cells) -> str:
     return _csv_text(("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
                      [(c.identity, suite_mod._json_text(c.params, sort_keys=True), c.status,
-                       c.lhs, c.rhs, c.elapsed_us) for c in cells])
+                       c.lhs, c.rhs, 0) for c in cells])
 
 
-def _cmd_numbers(args, seed: int) -> int:
+def _cmd_numbers(args) -> int:
     r = args.order
     values = frobenius.fe_numbers(args.n_max, r)
     at = "(\\lambda)"
@@ -338,7 +337,7 @@ def _cmd_numbers(args, seed: int) -> int:
     return 0
 
 
-def _cmd_poly(args, seed: int) -> int:
+def _cmd_poly(args) -> int:
     p = frobenius.fe_poly(args.n, args.order)
     if args.lam is not None:
         p = XPoly(_at_lambda(p.coeffs, args.lam))
@@ -347,7 +346,7 @@ def _cmd_poly(args, seed: int) -> int:
     return 0
 
 
-def _cmd_convert(args, seed: int) -> int:
+def _cmd_convert(args) -> int:
     p = parse_poly_expr(args.poly)
     e = frobenius.to_fe_basis(p, args.order)
     coeffs = list(e.coefficients)
@@ -361,7 +360,7 @@ def _cmd_convert(args, seed: int) -> int:
     return 0
 
 
-def _cmd_stirling(args, seed: int) -> int:
+def _cmd_stirling(args) -> int:
     v = frobenius.stirling_lambda(args.n, args.k)
     if args.lam is not None:
         [v] = _at_lambda([v], args.lam)
@@ -370,7 +369,7 @@ def _cmd_stirling(args, seed: int) -> int:
     return 0
 
 
-def _cmd_verify(args, seed: int) -> int:
+def _cmd_verify(args) -> int:
     least, _ = suite_mod.IDENTITIES[args.identity]
     values = {name: getattr(args, name) for name in least}
     unmet = [f"--{name}" for name, v in values.items() if v is None] or [
@@ -379,7 +378,7 @@ def _cmd_verify(args, seed: int) -> int:
         sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
         return 2
     if args.identity == "thm1_roundtrip":
-        draws = suite_mod.roundtrip_inputs(seed, args.index + 1)
+        draws = suite_mod.roundtrip_inputs(args.seed, args.index + 1)
         values["p"], values["r"] = next(islice(draws, args.index, None))
     cell = getattr(suite_mod, "verify_" + args.identity)(**values)
     if args.format == "json":
@@ -397,9 +396,9 @@ def _cmd_verify(args, seed: int) -> int:
     return 0 if cell.status != "mismatch" else 1
 
 
-def _cmd_suite(args, seed: int) -> int:
+def _cmd_suite(args) -> int:
     report = suite_mod.run_suite(args.n_max, args.r_max, args.s_max,
-                                 seed=seed, jobs=args.jobs)
+                                 seed=args.seed, jobs=args.jobs)
     if args.format == "json":
         sys.stdout.write(report.to_jsonl())
     elif args.format == "csv":
@@ -487,16 +486,8 @@ def main(argv=None) -> int:
     # argparse reads --opt=-- as an empty list and skips the option's type
     if [] in vars(args).values():
         parser.error("'--' is not an option value")
-    seed = getattr(args, "seed", suite_mod.DEFAULT_SEED)
-    env_seed = os.environ.get("FEULER_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            sys.stderr.write(f"error: FEULER_SEED={env_seed!r} is not an integer\n")
-            return 2
     try:
-        return args.run(args, seed)
+        return args.run(args)
     except (PolyParseError, PoleError, TooLargeToPrint) as exc:  # of --poly or at --lambda
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -16,6 +16,7 @@ extended on demand; ``clear_caches()`` empties all of them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -185,40 +186,14 @@ _MEMOS = (fe_poly, _longest_series, _delta_coeffs, surjection_sum, lowering_coef
           _split_sum_numbers, _one_minus_l_pow)
 
 
-class BasisExpansion:
+class BasisExpansion(namedtuple("BasisExpansion", "order coefficients")):
     """Coefficients of a polynomial in the order-r basis H_k^{(r)}(x|L).
 
-    An immutable value: equal order and coefficients compare and hash equal.
+    A named tuple of the order and the coefficient tuple, so an immutable
+    value: equal order and coefficients compare and hash equal.
     """
 
-    __slots__ = ("order", "coefficients")
-
-    def __init__(self, order: int, coefficients: tuple):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, (self.order, self.coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.coefficients) == (other.order, other.coefficients)
-
-    def __hash__(self):
-        return hash((self.order, self.coefficients))
-
-    def __repr__(self):
-        return f"BasisExpansion(order={self.order!r}, coefficients={self.coefficients!r})"
-
-    def __iter__(self):
-        return iter(self.coefficients)
+    __slots__ = ()
 
 
 def to_fe_basis(p: XPoly, r: int) -> BasisExpansion:

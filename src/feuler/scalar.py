@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -93,9 +93,7 @@ def _iprim(a) -> tuple:
     The primitive part begins with a positive coefficient (lowest nonzero
     term, the one printed first); the sign goes into the content.
     """
-    g = 0
-    for v in a:
-        g = gcd(g, v)
+    g = gcd(*a)
     for v in a:
         if v:
             if v < 0:
@@ -308,10 +306,7 @@ def _reduce(terms) -> "LambdaRat":
     stripped once, the content taken, and one gcd reduces the sum against
     R, none when R is 1, as it is for every Frobenius-Euler value.
     """
-    d = 1
-    for t in terms:
-        if d % t[1]:
-            d = d // gcd(d, t[1]) * t[1]
+    d = lcm(*[t[1] for t in terms])
     sums = {}
     for a, b, p, e, r in terms:
         a *= d // b
@@ -449,11 +444,7 @@ def _split(value) -> tuple:
         value = value.coeffs
     elif not isinstance(value, (list, tuple)):
         value = tuple(value)
-    den = 1
-    for c in value:
-        d = c.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
+    den = lcm(*[c.denominator for c in value])
     # each prime of den misses some scaled numerator: g / den is reduced
     nums = _itrim([c.numerator * (den // c.denominator) for c in value])
     if not nums:

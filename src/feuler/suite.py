@@ -9,8 +9,8 @@ the same type that is structurally equal (canonical form makes the
 string a function of the value); other right sides are printed and the
 strings compared.  A report is a deterministically ordered list
 of cells plus a summary; serialized reports from a serial run and a
-parallel run are byte-identical because no cell is timed: a cell's
-``elapsed_us`` field keeps its default 0.
+parallel run are byte-identical because no cell is timed: each line's
+``elapsed_us`` key, kept for readers of the format, is always 0.
 
 ``IDENTITIES`` describes every identity once: the arguments of its
 ``verify_<id>`` function and the grid a report runs it over.  Both
@@ -37,6 +37,7 @@ closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -81,28 +82,14 @@ def _json_text(obj, **options) -> str:
     return json.dumps(obj, **options)
 
 
-class Cell:
-    """One identity instance: status is equal iff lhs == rhs byte-wise."""
+class Cell(namedtuple("Cell", "identity params status lhs rhs")):
+    """One identity instance: status is equal iff lhs == rhs byte-wise.
 
-    __slots__ = ("identity", "params", "status", "lhs", "rhs", "elapsed_us")
+    Cells and reports are named tuples: immutable, picklable between the
+    workers of ``run_suite``, and equal to the plain tuple of their fields.
+    """
 
-    def __init__(self, identity: str, params: dict, status: str, lhs: str, rhs: str,
-                 elapsed_us: int = 0):
-        self.identity = identity
-        self.params = params
-        self.status = status
-        self.lhs = lhs
-        self.rhs = rhs
-        self.elapsed_us = elapsed_us
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"Cell({fields})"
+    __slots__ = ()
 
     def to_json(self) -> str:
         """One report line: fixed key order, parameters sorted by name."""
@@ -112,7 +99,7 @@ class Cell:
             "status": self.status,
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "elapsed_us": self.elapsed_us,
+            "elapsed_us": 0,
         })
 
 
@@ -261,20 +248,10 @@ def _tally(cells) -> dict:
     return out
 
 
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "cells grid")):
     """Deterministically ordered cells plus the grid they were run on."""
 
-    def __init__(self, cells: list, grid: dict):
-        self.cells = cells
-        self.grid = grid
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cells, self.grid) == (other.cells, other.grid)
-
-    def __repr__(self):
-        return f"VerificationReport(cells={self.cells!r}, grid={self.grid!r})"
+    __slots__ = ()
 
     def totals(self) -> dict:
         return _tally(self.cells)

@@ -610,22 +610,6 @@ def test_cli_verify_index_holds_one_roundtrip_input(monkeypatch):
     assert (got["p"], got["r"]) == list(suite.roundtrip_inputs(suite.DEFAULT_SEED, 501))[500]
 
 
-def test_cli_env_seed_overrides_flag(monkeypatch):
-    code, flagged, _ = run_cli("verify", "--identity", "thm1_roundtrip",
-                               "--index", "7", "--seed", "99", "--format", "json")
-    assert code == 0
-    monkeypatch.setenv("FEULER_SEED", "99")
-    code, env_out, _ = run_cli("verify", "--identity", "thm1_roundtrip",
-                               "--index", "7", "--format", "json")
-    assert code == 0
-    assert env_out == flagged
-    monkeypatch.setenv("FEULER_SEED", "banana")
-    code, _, err = run_cli("verify", "--identity", "thm1_roundtrip",
-                           "--index", "7")
-    assert code == 2
-    assert "FEULER_SEED" in err
-
-
 def test_cli_suite_small_grid():
     code, out, _ = run_cli("suite", "--n-max", "2", "--r-max", "1", "--s-max", "1")
     assert code == 0
@@ -695,9 +679,10 @@ def _imported(*argv) -> set:
 def test_import_leaves_the_process_pool_unloaded():
     # only suite --jobs > 1 needs a process pool and only JSON or CSV output
     # needs json or csv, so each is imported there; dataclasses, with the
-    # inspect it loads, is used nowhere.  Whatever the bare interpreter
+    # inspect it loads, and typing are used nowhere.  Whatever the bare interpreter
     # already imports (a site hook, say) is not feuler's doing.
-    deferred = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "json", "csv"}
+    deferred = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "json", "csv",
+                "typing"}
     bare = _imported("-c", "pass")
     for argv in (("-c", "import feuler"), ("-m", "feuler", "numbers", "--n-max", "3")):
         loaded = _imported(*argv) - bare

@@ -381,7 +381,7 @@ def test_basis_expansion_of_the_basis_itself():
         for n in range(6):
             e = to_fe_basis(fe_poly(n, r), r)
             assert e.order == r
-            for k, c in enumerate(e):
+            for k, c in enumerate(e.coefficients):
                 assert c == (1 if k == n else 0)
 
 
@@ -448,7 +448,10 @@ def test_basis_expansion_is_an_immutable_value():
     assert {e: "found"}[again] == "found"
     assert e == BasisExpansion(2, e.coefficients)
     assert e != BasisExpansion(3, e.coefficients)
-    assert list(e) == list(e.coefficients)
+    # a named tuple of its two fields, printed with their names
+    assert tuple(e) == (e.order, e.coefficients)
+    assert hash(e) == hash((e.order, e.coefficients))
+    assert repr(e) == f"BasisExpansion(order=2, coefficients={e.coefficients!r})"
     with pytest.raises(AttributeError):
         e.order = 3
     assert e.order == 2

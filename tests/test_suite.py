@@ -2,6 +2,8 @@
 
 import hashlib
 import inspect
+import json
+import pickle
 import random
 from math import comb
 
@@ -79,17 +81,30 @@ def test_small_grid_all_equal():
     # byte-wise invariant on every cell
     for c in rep.cells:
         assert (c.status == "equal") == (c.lhs == c.rhs)
-        assert c.elapsed_us == 0
+        assert json.loads(c.to_json())["elapsed_us"] == 0
     # identity-major deterministic ordering
     ids = [c.identity for c in rep.cells]
     assert ids == sorted(ids, key=ids.index)
     assert ids == sorted(ids)
 
 
+def test_cells_and_reports_are_immutable_picklable_values():
+    # suite --jobs sends the cells back from its workers pickled
+    rep = run_suite(1, 1, 1)
+    for value, field in ((rep.cells[0], "status"), (rep, "cells")):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and back.__class__ is value.__class__
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert rep.cells[0].status == "equal"
+    assert rep.cells[0] == tuple(rep.cells[0])
+
+
 def test_report_serialization_round_trip():
     text = run_suite(3, 1, 1).to_jsonl()
     lines = text.strip().split("\n")
-    import json
     summary = json.loads(lines[-1])
     assert summary["grid"] == {"n_max": 3, "r_max": 1, "s_max": 1}
     first = json.loads(lines[0])
