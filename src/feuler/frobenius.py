@@ -95,24 +95,26 @@ def _longest_series(r: int, trunc: int) -> TruncSeries:
 
 def _shift_weights(s: int) -> list:
     """w_j = (-L)^{s-j} / (1-L)^s for j = 0..s, the weights of the shifts
-    p(x + j) in J^s and in the evaluation formula of ``to_fe_basis``.
-    L^(s-j) is prime to (1 - L)^s, so each is built in canonical form."""
+    p(x + j) in J^s, so J^s p = sum_j C(s,j) w_j p(x + j).  L^(s-j) is prime
+    to (1 - L)^s, so each is built in canonical form."""
     return [LambdaRat._make((-1) ** (s - j), 1, (0,) * (s - j) + (1,), s) for j in range(s + 1)]
 
 
 def j_lambda(p: XPoly, s: int = 1) -> XPoly:
     """s-fold application of J: p(x) -> (p(x+1) - L p(x))/(1 - L).
 
-    Expanded in closed form: J^s p = (1-L)^{-s} sum_j C(s,j)(-L)^{s-j} p(x+j).
+    J^s p = sum_j C(s,j) w_j p(x + j), w_j from ``_shift_weights``; with the
+    shifts expanded its x^k coefficient is Theorem 1's evaluation formula
+    sum_{j<=s} sum_{m>=k} C(s,j) C(m,k) j^(m-k) w_j c_m (0^0 = 1), one dot.
     """
     if s < 0:
         raise ValueError("negative power of the lowering operator")
-    if s == 0:
-        return p
     weights = _shift_weights(s)
-    shifts = [p.shift(j).coeffs for j in range(s + 1)]
-    return XPoly._trimmed([dot((comb(s, j), weights[j], q[k]) for j, q in enumerate(shifts))
-                           for k in range(len(p.coeffs))])
+    cs = p.coeffs
+    return XPoly._trimmed([dot((comb(s, j) * comb(m, k) * j ** (m - k), w, cs[m])
+                               for j, w in enumerate(weights)
+                               for m in range(k, len(cs) if j else k + 1))
+                           for k in range(len(cs))])
 
 
 @lru_cache(maxsize=None)
@@ -197,27 +199,9 @@ class BasisExpansion(namedtuple("BasisExpansion", "order coefficients")):
 
 
 def to_fe_basis(p: XPoly, r: int) -> BasisExpansion:
-    """Expand p in the order-r basis by the finite evaluation formula.
-
-    C_k = (1/(k! (1-L)^r)) sum_{j=0}^{r} C(r,j)(-L)^{r-j} (D^k p)(j), and
-    (D^k p)(j)/k! = sum_{m >= k} C(m,k) c_m j^(m-k), with 0^0 = 1, so
-
-        C_k = sum_{j=0}^{r} sum_{m=k}^{deg p} C(r,j) C(m,k) j^(m-k) w_j c_m,
-        w_j = (-L)^{r-j} / (1-L)^r,
-
-    one dot per coefficient.
-    """
-    if r < 0:
-        raise ValueError("basis expansion needs a nonnegative order")
-    if p.is_zero:
-        return BasisExpansion(r, ())
-    weights = _shift_weights(r)
-    cs = p.coeffs
-    d = len(cs)
-    return BasisExpansion(r, tuple(
-        dot((comb(r, j) * comb(m, k) * j ** (m - k), w, cs[m])
-            for j, w in enumerate(weights) for m in range(k, d if j else k + 1))
-        for k in range(d)))
+    """Expand p in the order-r basis: g(t) = (e^t - L)/(1 - L) acts as J on
+    polynomials, so C_k = <g^r t^k | p>/k! is the x^k coefficient of J^r p."""
+    return BasisExpansion(r, j_lambda(p, r).coeffs)
 
 
 def from_fe_basis(expansion: BasisExpansion) -> XPoly:

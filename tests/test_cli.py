@@ -344,9 +344,10 @@ def test_cli_verify_exit_codes():
                            "--n", "3", "--r", "2", "--s", "1")
     assert code == 0
     assert out.startswith("thm2 n=3 r=2 s=1 equal\n")
-    code, out, _ = run_cli("verify", "--identity", "cor3", "--n", "0", "--r", "0")
-    assert code == 0  # skipped is not a mismatch
-    assert "skipped" in out
+    # below an identity's least r is a usage error, as for thm5
+    for ident, least in (("cor3", 1), ("thm5", 0)):
+        assert run_cli("verify", "--identity", ident, "--n", "3", "--r", str(least - 1)) == (
+            2, "", f"error: {ident} needs --r >= {least}\n")
     code, _, err = run_cli("verify", "--identity", "eq15_duality", "--n", "2")
     assert code == 2
     assert "--k" in err and "--r" in err
@@ -561,8 +562,11 @@ def test_cli_verify_r_domains():
                                "--n", "3", "--r", "-2", "--s", "1", "--k", "3")
         assert code == 0 and " equal\n" in out, ident
     for ident in ("cor3", "cor4", "thm6", "remark"):
-        code, out, _ = run_cli("verify", "--identity", ident, "--n", "3", "--r", "-1")
-        assert code == 0 and " skipped\n" in out, ident
+        for r in ("-1", "0"):
+            assert run_cli("verify", "--identity", ident, "--n", "3", "--r", r) == (
+                2, "", f"error: {ident} needs --r >= 1\n"), (ident, r)
+        code, out, _ = run_cli("verify", "--identity", ident, "--n", "3", "--r", "1")
+        assert code == 0 and out.startswith(f"{ident} n=3 r=1 equal\n"), ident
 
 
 def test_cli_verify_reproduces_suite_cells():

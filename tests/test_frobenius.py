@@ -259,7 +259,7 @@ def test_j_lambda_matches_operator_iteration():
         for s in range(4):
             assert j_lambda(p, s) == q
             q = one_step_j(q)
-    assert j_lambda(p, 0) is p
+    assert j_lambda(p, 0) == p
     with pytest.raises(ValueError):
         j_lambda(p, -1)
 

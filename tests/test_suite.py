@@ -55,12 +55,14 @@ def test_known_cells():
 
 
 def test_skip_guards():
-    c = verify_cor3(3, 0)
-    assert c.status == "skipped"
-    assert c.lhs != c.rhs
-    assert verify_cor4(3, -1).status == "skipped"
-    assert verify_thm6(3, 0).status == "skipped"
-    assert verify_remark(3, 0).status == "skipped"
+    # no cell is skipped: the identities of s = r - 1, r or 2r - 1 steps
+    # declare r >= 1, which feuler verify checks, and every grid starts at
+    # each argument's least value
+    for ident in ("cor3", "cor4", "thm6", "remark"):
+        assert IDENTITIES[ident][0]["r"] == 1
+    for ident, (least, grid) in IDENTITIES.items():
+        for (name, lo), values in zip(least.items(), grid(4, 3, 2)):
+            assert lo is None or min(values) == lo, (ident, name)
 
 
 def test_roundtrip_cell_is_deterministic():
@@ -192,7 +194,8 @@ def test_plan_draws_the_roundtrip_inputs():
 # its row.
 
 def _flip_first_shift_weight(orig):
-    # the sign of (-L)^s, the j = 0 weight of J^s and of to_fe_basis
+    # the sign of (-L)^s, the j = 0 weight of J^s, which to_fe_basis applies
+    # as J^r
     return lambda s: [-w if j == 0 and s else w for j, w in enumerate(orig(s))]
 
 
@@ -206,10 +209,9 @@ def _bump_series_coefficient(orig):
     return bumped
 
 
-def _bump_basis_polynomial(orig):
-    # H_1^{(1)}, as from_fe_basis reads it; the suite's own tables are
-    # imported by name and keep the true one
-    return lambda n, r=1: orig(n, r) + ONE if (n, r) == (1, 1) else orig(n, r)
+def _bump_polynomial_at(at):
+    # H_n^{(r)} at (n, r) = at, as read through the one binding rebound
+    return lambda orig: lambda n, r=1: orig(n, r) + ONE if (n, r) == at else orig(n, r)
 
 
 def _bump_derivative(orig):
@@ -258,8 +260,11 @@ ROUTE_ROWS = [
                  {"thm1_roundtrip", "eq22_ladder"}, id="evaluation-formula-and-J-weights"),
     pytest.param(TruncSeries, "__pow__", _bump_series_coefficient,
                  {"thm1_roundtrip", "eq15_duality"}, id="TruncSeries-powering"),
-    pytest.param(frobenius, "fe_poly", _bump_basis_polynomial,
+    # from_fe_basis reads frobenius.fe_poly; the suite imports its own binding
+    pytest.param(frobenius, "fe_poly", _bump_polynomial_at((1, 1)),
                  {"thm1_roundtrip"}, id="recombination-tables"),
+    pytest.param(suite, "fe_poly", _bump_polynomial_at((3, 2)),
+                 {"eq12_ladder", "eq15_duality", "eq22_ladder", "thm2"}, id="suite-tables"),
     pytest.param(XPoly, "derivative", _bump_derivative,
                  {"eq12_ladder"}, id="XPoly-derivative"),
     pytest.param(frobenius, "lowering_coeff", _bump_weights_at_two_steps,
@@ -268,8 +273,6 @@ ROUTE_ROWS = [
                  {"thm2", "cor3", "cor4", "thm5", "thm6"}, id="split-sum-rows"),
     pytest.param(frobenius, "surjection_sum", _bump_surjections_onto_two,
                  {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}, id="surjection-counts"),
-    pytest.param(XPoly, "shift", _bump_shift_by(1),
-                 {"eq22_ladder"}, id="XPoly-shift-by-one"),
     pytest.param(frobenius, "stirling_lambda", _bump_stirling_at_two,
                  {"thm5", "thm6", "remark"}, id="stirling-at-two"),
     pytest.param(XPoly, "__pow__", _bump_fourth_power,
@@ -286,9 +289,12 @@ UNCOVERED = [
                  id="XPoly-evaluate: to_fe_basis reads the coefficients of p, not its values"),
     pytest.param(TruncSeries, "recip", _bump_series_coefficient,
                  id="TruncSeries-recip: no identity in the grid takes a negative series power"),
+    # j_lambda, the one J of eq22 and of thm1's to_fe_basis, expands its shifts
+    pytest.param(XPoly, "shift", _bump_shift_by(1),
+                 id="XPoly-shift-by-one: j_lambda shifts nothing"),
     pytest.param(XPoly, "shift", _bump_shift_by(3),
-                 id="XPoly-shift-by-three: the grid applies J once (eq22), shifting by 0 and 1; "
-                    "to_fe_basis reads the shift weights, not shifted polynomials"),
+                 id="XPoly-shift-by-three: the grid applies J once (eq22) and J^r (thm1), each "
+                    "by the evaluation formula, which shifts no polynomial"),
 ]
 
 
@@ -332,9 +338,12 @@ def _names_read(code):
 
 
 def test_evaluation_route_reads_no_series():
-    # the dual side of thm1 is appell_expand on TruncSeries powering
-    read = _names_read(frobenius.to_fe_basis.__code__)
+    # the dual side of thm1 is appell_expand on TruncSeries powering; the
+    # evaluation formula is j_lambda's, which to_fe_basis applies
+    assert "j_lambda" in _names_read(frobenius.to_fe_basis.__code__)
+    read = _names_read(frobenius.j_lambda.__code__)
     read |= _names_read(frobenius._shift_weights.__code__)
+    assert "_shift_weights" in read and "shift" not in read
     assert not read & {"fe_series", "cached_series", "TruncSeries", "appell_expand", "umbral"}
 
 
