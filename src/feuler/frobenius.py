@@ -2,16 +2,17 @@
 
 H_n^{(r)}(x|L) is the Appell sequence attached to the invertible series
 g(t) = ((e^t - L)/(1 - L))^r over Q(L).  The numbers of every integer
-order come from one integer recurrence for their numerators over
-(1 - L)^n, Carlitz's Eulerian recurrence at order 1 (see ``_row``), with
-no arithmetic in Q(L).  The order-lowering operator J: p(x) -> (p(x+1) -
-L p(x))/(1 - L) steps between orders, and its powers connect the
-polynomials to the L-analogue of the Stirling numbers of the second kind.
+order come from one integer recurrence, each numerator over a power of
+(1 - L) from the one before, Carlitz's Eulerian recurrence at order 1
+(see ``_row``), with no arithmetic in Q(L).  The order-lowering operator
+J: p(x) -> (p(x+1) - L p(x))/(1 - L) is g(D); its powers J^s read the
+rows of order -s, step between orders, and connect the polynomials to
+the L-analogue of the Stirling numbers of the second kind.
 
 Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, scalar's
 memo of the rows of (1 - L)^e among them, except the rows of numbers,
-which live in ``_ROWS`` (order -> the row and its last numerator) and are
-extended on demand; ``clear_caches()`` empties all of them.
+which live in ``_ROWS`` (order -> row) and are extended on demand from
+their last entry; ``clear_caches()`` empties all of them.
 """
 
 from __future__ import annotations
@@ -35,28 +36,27 @@ def _row(r: int, n_max: int) -> list:
     """The cached row H_0^{(r)}(L), H_1^{(r)}(L), ..., extended to n_max.
 
     G = ((1 - L)/(e^t - L))^r, the generating function of the row,
-    satisfies dG/dt = -r G/(1 - L) - L dG/dL, so the integer polynomials
-    N_n = (1 - L)^n H_n^{(r)} follow N_0 = 1 and
-    N_n = -(r + (n - 1)L) N_{n-1} - L(1 - L) N_{n-1}', that is
-    c_k = -(r + k) a_k + (k - n) a_{k-1} with a = N_{n-1}.  At r = 1,
-    (-1)^n N_n is the Eulerian polynomial A_n.  Each entry is N_n over
-    (1 - L)^n with the common factors (1 - L) stripped: the numerator is
-    then prime to the denominator and the value canonical.  _ROWS[r]
-    holds the row and the last numerator, from which it is extended.
+    satisfies dG/dt = -r G/(1 - L) - L dG/dL, so H_n = -r H_{n-1}/(1 - L)
+    - L dH_{n-1}/dL.  Each step reads the last entry, a p / (1 - L)^e:
+    H_n = a N / (1 - L)^(e+1) with N = -(r + eL) p - L(1 - L) p', that is
+    c_k = (k - e - 1) p_{k-1} - (r + k) p_k.  At r = 1 the numerators are
+    the Eulerian polynomials up to sign.  Each entry is N over (1 - L)^(e+1)
+    with the common factors (1 - L) stripped, at most those of one step,
+    and the content taken: the numerator is then prime to the denominator
+    and the value canonical.  A zero entry (order 0) stays zero.
     """
-    row, num = _ROWS.setdefault(r, ([ONE], [1]))
-    if len(row) > n_max:
-        return row
-    for n in range(len(row), n_max + 1):
-        num = _itrim([(k - n) * b - (r + k) * a
-                      for k, (a, b) in enumerate(zip(num + [0], [0] + num))])
+    row = _ROWS.setdefault(r, [ONE])
+    for _ in range(len(row), n_max + 1):
+        h = row[-1]
+        p, e = h.p, h.e
+        num = _itrim([(k - e - 1) * b - (r + k) * a
+                      for k, (a, b) in enumerate(zip(p + (0,), (0,) + p))])
         if not num:
             row.append(ZERO)
             continue
-        p, e = _strip(num, n)
-        a, p = _iprim(p)
-        row.append(LambdaRat._make(a, 1, tuple(p), e))
-    _ROWS[r] = (row, num)
+        num, e = _strip(num, e + 1)
+        a, num = _iprim(num)
+        row.append(LambdaRat._make(a * h.a, 1, tuple(num), e))
     return row
 
 
@@ -93,27 +93,21 @@ def _longest_series(r: int, trunc: int) -> TruncSeries:
     return TruncSeries._raw((ONE,) + (_INV,) * trunc) ** r
 
 
-def _shift_weights(s: int) -> list:
-    """w_j = (-L)^{s-j} / (1-L)^s for j = 0..s, the weights of the shifts
-    p(x + j) in J^s, so J^s p = sum_j C(s,j) w_j p(x + j).  L^(s-j) is prime
-    to (1 - L)^s, so each is built in canonical form."""
-    return [LambdaRat._make((-1) ** (s - j), 1, (0,) * (s - j) + (1,), s) for j in range(s + 1)]
-
-
 def j_lambda(p: XPoly, s: int = 1) -> XPoly:
-    """s-fold application of J: p(x) -> (p(x+1) - L p(x))/(1 - L).
+    """s-fold application of J: p(x) -> (p(x+1) - L p(x))/(1 - L), any integer s.
 
-    J^s p = sum_j C(s,j) w_j p(x + j), w_j from ``_shift_weights``; with the
-    shifts expanded its x^k coefficient is Theorem 1's evaluation formula
-    sum_{j<=s} sum_{m>=k} C(s,j) C(m,k) j^(m-k) w_j c_m (0^0 = 1), one dot.
+    J is g(D) for g(t) = (e^t - L)/(1 - L), and g(t)^s has the order -s
+    numbers as its divided coefficients, so J^s x^m = H_m^{(-s)}(x|L) and
+    the x^k coefficient of J^s p is sum_{m>=k} C(m,k) c_m H_{m-k}^{(-s)}(L):
+    one dot of d - k terms over the row, its zero terms left out before
+    C(m,k) is taken.  For s >= 0 that is Theorem 1's evaluation formula with
+    its sum over the shifts j done first.  fe_numbers is looked up by name
+    when it runs, so a rebound module attribute is the row J reads.
     """
-    if s < 0:
-        raise ValueError("negative power of the lowering operator")
-    weights = _shift_weights(s)
     cs = p.coeffs
-    return XPoly._trimmed([dot((comb(s, j) * comb(m, k) * j ** (m - k), w, cs[m])
-                               for j, w in enumerate(weights)
-                               for m in range(k, len(cs) if j else k + 1))
+    h = fe_numbers(len(cs) - 1, -s)
+    return XPoly._trimmed([dot((comb(m, k), cs[m], h[m - k])
+                               for m in range(k, len(cs)) if cs[m] and h[m - k])
                            for k in range(len(cs))])
 
 

@@ -17,9 +17,9 @@ parallel run are byte-identical because no cell is timed: each line's
 ``run_suite`` and ``feuler verify`` read it.
 
 Routes of the two sides.  "Table" is a row of ``frobenius``, every order
-by one integer recurrence for the numerators over (1 - L)^n.  "Weights"
-are ``lowering_coeff``, built on the surjection recurrence.  "Stirling
-closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
+by one integer recurrence for the numerators over powers of (1 - L).
+"Weights" are ``lowering_coeff``, built on the surjection recurrence.
+"Stirling closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
 
     thm2            table of order r - s | weights times order-r numbers, scaled by C(n, m)
     cor3            order-1 table        | weights times order-r numbers, scaled by C(n, m)
@@ -29,8 +29,8 @@ closed form" is ``stirling_lambda``, from ``delta_pow_at_zero``.
     remark          Stirling closed form | weights times order-1 numbers
     eq15_duality    TruncSeries powering on the order-r table | n! delta_{n,k}
     eq12_ladder     derivative of the order-r table | n times the order-r table
-    eq22_ladder     J by the evaluation formula on the order-r table | order r - 1 table
-    thm1_roundtrip  evaluation formula, J^r p by one dot per coefficient | appell_expand
+    eq22_ladder     J from the order -1 row on the order-r table | order r - 1 table
+    thm1_roundtrip  J^r p from the order -r row, one dot per coefficient | appell_expand
                     on TruncSeries powering, then order-r tables recombined | p
 """
 

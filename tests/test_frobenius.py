@@ -35,7 +35,7 @@ from feuler.frobenius import (
 )
 
 from feuler.suite import DEFAULT_SEED, roundtrip_inputs
-from genutil import check_canonical, rand_lrat, rand_xpoly
+from genutil import rand_lrat, rand_xpoly
 
 L = LAMBDA
 ONE_MINUS = ONE - L
@@ -181,6 +181,10 @@ def test_negative_orders_match_closed_form():
     for s in (1, 2, 3, 4, 5, 6, 7, 400, 1200):
         scale = ONE_MINUS.inverse() ** s
         assert fe_numbers(10, -s) == [delta_pow_at_zero(n, s) * scale for n in range(11)], s
+    # rows longer than their order, whose numerators carry factors (1 - L)
+    for s in (1, 3):
+        scale = ONE_MINUS.inverse() ** s
+        assert fe_numbers(300, -s) == [delta_pow_at_zero(n, s) * scale for n in range(301)], s
 
 
 def test_closed_form_numerator_valuation_at_one():
@@ -260,20 +264,9 @@ def test_j_lambda_matches_operator_iteration():
             assert j_lambda(p, s) == q
             q = one_step_j(q)
     assert j_lambda(p, 0) == p
-    with pytest.raises(ValueError):
-        j_lambda(p, -1)
-
-
-def test_shift_weights_match_the_product_formula():
-    # each weight is built in canonical form; the product it replaces,
-    # (-L)^(s-j) times (1/(1 - L))^s, reduces to the same value
-    inv = ONE_MINUS.inverse()
-    for s in range(13):
-        weights = frobenius._shift_weights(s)
-        assert len(weights) == s + 1
-        for j, w in enumerate(weights):
-            check_canonical(w)
-            assert w == (-L) ** (s - j) * inv ** s
+    # a negative power undoes the positive one
+    for s in range(4):
+        assert j_lambda(j_lambda(p, s), -s) == p, s
 
 
 def test_j_ladder_connects_orders():
@@ -462,8 +455,14 @@ def test_zero_polynomial_expansion():
     e = to_fe_basis(XPoly([]), 2)
     assert e.coefficients == ()
     assert from_fe_basis(e) == XPoly([])
-    with pytest.raises(ValueError):
-        to_fe_basis(X, -1)
+    # negative orders, the zero polynomial among the inputs, against the
+    # series route
+    rng = random.Random(45)
+    for r in (-1, -3, -6):
+        for p in (XPoly([]), X, X ** 6 - XPoly.const(L) * X, rand_xpoly(rng, 7)):
+            e = to_fe_basis(p, r)
+            assert list(e.coefficients) == appell_expand(fe_series(r, max(p.degree, 0)), p)
+            assert from_fe_basis(e) == p
 
 
 def test_euler_specialization():

@@ -193,12 +193,6 @@ def test_plan_draws_the_roundtrip_inputs():
 # both sides of a cell share the block would keep the cells equal and fail
 # its row.
 
-def _flip_first_shift_weight(orig):
-    # the sign of (-L)^s, the j = 0 weight of J^s, which to_fe_basis applies
-    # as J^r
-    return lambda s: [-w if j == 0 and s else w for j, w in enumerate(orig(s))]
-
-
 def _bump_series_coefficient(orig):
     # coefficient 1 of every series the method returns
     def bumped(self, *args):
@@ -227,10 +221,11 @@ def _bump_weights_at_two_steps(orig):
     return lambda s, l: orig(s, l) + ONE if s == 2 else orig(s, l)
 
 
-def _bump_order_two_row(orig):
-    # H_1^{(2)}, as the split sums read it; the polynomial tables keep the
-    # true row, and remark reads the order-1 row
-    return lambda n, r=1: [h + ONE if (k, r) == (1, 2) else h for k, h in enumerate(orig(n, r))]
+def _bump_number_at(at):
+    # H_n^{(r)}(L) at (n, r) = at, as read through fe_numbers: by the split
+    # sums and by j_lambda; the polynomial tables keep the true row
+    return lambda orig: lambda n, r=1: [h + ONE if (k, r) == at else h
+                                        for k, h in enumerate(orig(n, r))]
 
 
 def _bump_surjections_onto_two(orig):
@@ -256,8 +251,9 @@ def _drop_weights_divisible_by_seven(orig):
 
 
 ROUTE_ROWS = [
-    pytest.param(frobenius, "_shift_weights", _flip_first_shift_weight,
-                 {"thm1_roundtrip", "eq22_ladder"}, id="evaluation-formula-and-J-weights"),
+    # J reads the order -1 row in eq22 and J^r the order -r row in thm1
+    pytest.param(frobenius, "fe_numbers", _bump_number_at((1, -1)),
+                 {"thm1_roundtrip", "eq22_ladder"}, id="J-rows-of-order-minus-one"),
     pytest.param(TruncSeries, "__pow__", _bump_series_coefficient,
                  {"thm1_roundtrip", "eq15_duality"}, id="TruncSeries-powering"),
     # from_fe_basis reads frobenius.fe_poly; the suite imports its own binding
@@ -265,11 +261,16 @@ ROUTE_ROWS = [
                  {"thm1_roundtrip"}, id="recombination-tables"),
     pytest.param(suite, "fe_poly", _bump_polynomial_at((3, 2)),
                  {"eq12_ladder", "eq15_duality", "eq22_ladder", "thm2"}, id="suite-tables"),
+    # the order-1 table is cor3's left side
+    pytest.param(suite, "fe_poly", _bump_polynomial_at((3, 1)),
+                 {"cor3", "eq12_ladder", "eq15_duality", "eq22_ladder", "thm2"},
+                 id="suite-order-one-table"),
     pytest.param(XPoly, "derivative", _bump_derivative,
                  {"eq12_ladder"}, id="XPoly-derivative"),
     pytest.param(frobenius, "lowering_coeff", _bump_weights_at_two_steps,
                  {"thm2", "cor3", "cor4", "thm5", "remark"}, id="split-sum-weights"),
-    pytest.param(frobenius, "fe_numbers", _bump_order_two_row,
+    # remark reads the order-1 row
+    pytest.param(frobenius, "fe_numbers", _bump_number_at((1, 2)),
                  {"thm2", "cor3", "cor4", "thm5", "thm6"}, id="split-sum-rows"),
     pytest.param(frobenius, "surjection_sum", _bump_surjections_onto_two,
                  {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}, id="surjection-counts"),
@@ -289,12 +290,13 @@ UNCOVERED = [
                  id="XPoly-evaluate: to_fe_basis reads the coefficients of p, not its values"),
     pytest.param(TruncSeries, "recip", _bump_series_coefficient,
                  id="TruncSeries-recip: no identity in the grid takes a negative series power"),
-    # j_lambda, the one J of eq22 and of thm1's to_fe_basis, expands its shifts
+    # j_lambda, the one J of eq22 and of thm1's to_fe_basis, reads the rows of
+    # the opposite order and shifts no polynomial
     pytest.param(XPoly, "shift", _bump_shift_by(1),
                  id="XPoly-shift-by-one: j_lambda shifts nothing"),
     pytest.param(XPoly, "shift", _bump_shift_by(3),
                  id="XPoly-shift-by-three: the grid applies J once (eq22) and J^r (thm1), each "
-                    "by the evaluation formula, which shifts no polynomial"),
+                    "from the rows of order -1 and -r, not by shifts"),
 ]
 
 
@@ -339,12 +341,13 @@ def _names_read(code):
 
 def test_evaluation_route_reads_no_series():
     # the dual side of thm1 is appell_expand on TruncSeries powering; the
-    # evaluation formula is j_lambda's, which to_fe_basis applies
+    # other is j_lambda on the rows of order -r, which to_fe_basis applies
     assert "j_lambda" in _names_read(frobenius.to_fe_basis.__code__)
     read = _names_read(frobenius.j_lambda.__code__)
-    read |= _names_read(frobenius._shift_weights.__code__)
-    assert "_shift_weights" in read and "shift" not in read
-    assert not read & {"fe_series", "cached_series", "TruncSeries", "appell_expand", "umbral"}
+    assert "fe_numbers" in read and "shift" not in read
+    read |= _names_read(frobenius._row.__code__)
+    assert not read & {"fe_series", "_longest_series", "cached_series", "TruncSeries",
+                        "appell_expand", "umbral"}
 
 
 def test_split_sum_route_reads_no_polynomial_table():
