@@ -15,12 +15,15 @@ MAX_DEPTH deep, a power's exponent, and the degree in x and in L of a
 power or a product, are at most MAX_DEGREE, and no integer of a
 coefficient has more than MAX_BITS bits; past any limit the parse fails.
 Each limit on a power or a product is checked before it is taken.
+
+Every command writes its output through ``_write``, the one reader of
+``--format``; the fields of a verification cell's report line are those
+of ``suite.Cell.report_row``.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -290,37 +293,29 @@ def _at_lambda(values, lam: Fraction) -> list:
                           f"{MAX_OUT_BITS} bits")
 
 
-def _csv_text(header, rows) -> str:
-    # imported here so that only CSV output loads csv
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(args, header, rows, latex, json_text, plain=None) -> None:
+    """Print a command's output in args.format, the one place that reads it.
 
-
-def _emit_table(args, header, rows, latex_lines, json_obj) -> str:
-    if args.format == "plain":
-        return "\n".join("\t".join(str(v) for v in row) for row in rows) + "\n"
+    CSV is header then rows, LaTeX the given lines, and JSON the text that
+    json_text() returns, its last newline included, built only for JSON.
+    Plain is the given lines, or else each row joined by tabs.
+    """
     if args.format == "csv":
-        return _csv_text(header, rows)
+        import csv  # imported here so that only CSV output loads csv
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    if args.format == "json":
+        sys.stdout.write(json_text())
+        return
     if args.format == "latex":
-        return "\n".join(latex_lines) + "\n"
-    return suite_mod._json_text(json_obj) + "\n"
-
-
-def _emit_row(args, header, row, latex) -> str:
-    """One value with its arguments: plain prints the value alone."""
-    if args.format == "plain":
-        return f"{row[-1]}\n"
-    return _emit_table(args, header, [row], [latex], dict(zip(header, row)))
-
-
-def _cells_csv(cells) -> str:
-    return _csv_text(("identity", "params", "status", "lhs", "rhs", "elapsed_us"),
-                     [(c.identity, suite_mod._json_text(c.params, sort_keys=True), c.status,
-                       c.lhs, c.rhs, 0) for c in cells])
+        lines = latex
+    elif plain is None:
+        lines = ("\t".join(map(str, row)) for row in rows)
+    else:
+        lines = plain
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_numbers(args) -> int:
@@ -333,7 +328,7 @@ def _cmd_numbers(args) -> int:
     latex = [f"H_{{{n}}}^{{({r})}}{at} = {latex_lrat(v)} \\\\" for n, v in enumerate(values)]
     rows = [(n, str(v)) for n, v in enumerate(values)]
     obj = {"order": r, "values": [{"n": n, "value": s} for n, s in rows]}
-    sys.stdout.write(_emit_table(args, ("n", "value"), rows, latex, obj))
+    _write(args, ("n", "value"), rows, latex, lambda: suite_mod._json_text(obj) + "\n")
     return 0
 
 
@@ -342,7 +337,9 @@ def _cmd_poly(args) -> int:
     if args.lam is not None:
         p = XPoly(_at_lambda(p.coeffs, args.lam))
     latex = f"H_{{{args.n}}}^{{({args.order})}}(x\\mid\\lambda) = {latex_xpoly(p)}"
-    sys.stdout.write(_emit_row(args, ("n", "order", "poly"), (args.n, args.order, str(p)), latex))
+    header, row = ("n", "order", "poly"), (args.n, args.order, str(p))
+    _write(args, header, [row], [latex],
+           lambda: suite_mod._json_text(dict(zip(header, row))) + "\n", [row[-1]])
     return 0
 
 
@@ -356,7 +353,7 @@ def _cmd_convert(args) -> int:
     rows = [(k, str(c)) for k, c in enumerate(coeffs)]
     obj = {"order": args.order, "poly": str(p),
            "coefficients": [{"k": k, "value": s} for k, s in rows]}
-    sys.stdout.write(_emit_table(args, ("k", "value"), rows, latex, obj))
+    _write(args, ("k", "value"), rows, latex, lambda: suite_mod._json_text(obj) + "\n")
     return 0
 
 
@@ -365,7 +362,9 @@ def _cmd_stirling(args) -> int:
     if args.lam is not None:
         [v] = _at_lambda([v], args.lam)
     latex = f"S_{{\\lambda}}({args.n},{args.k}) = {latex_lrat(v)}"
-    sys.stdout.write(_emit_row(args, ("n", "k", "value"), (args.n, args.k, str(v)), latex))
+    header, row = ("n", "k", "value"), (args.n, args.k, str(v))
+    _write(args, header, [row], [latex],
+           lambda: suite_mod._json_text(dict(zip(header, row))) + "\n", [row[-1]])
     return 0
 
 
@@ -381,41 +380,27 @@ def _cmd_verify(args) -> int:
         draws = suite_mod.roundtrip_inputs(args.seed, args.index + 1)
         values["p"], values["r"] = next(islice(draws, args.index, None))
     cell = getattr(suite_mod, "verify_" + args.identity)(**values)
-    if args.format == "json":
-        sys.stdout.write(cell.to_json() + "\n")
-    elif args.format == "csv":
-        sys.stdout.write(_cells_csv([cell]))
-    elif args.format == "latex":
-        ps = ", ".join(f"{k}={cell.params[k]}" for k in sorted(cell.params))
-        sys.stdout.write(
-            f"\\texttt{{{cell.identity}}}({ps}): \\textbf{{{cell.status}}} \\\\\n")
-    else:
-        ps = " ".join(f"{k}={cell.params[k]}" for k in sorted(cell.params))
-        sys.stdout.write(f"{cell.identity} {ps} {cell.status}\n"
-                         f"lhs: {cell.lhs}\nrhs: {cell.rhs}\n")
+    ps = [f"{k}={v}" for k, v in sorted(cell.params.items())]
+    latex = [f"\\texttt{{{cell.identity}}}({', '.join(ps)}): \\textbf{{{cell.status}}} \\\\"]
+    plain = [f"{cell.identity} {' '.join(ps)} {cell.status}", f"lhs: {cell.lhs}",
+             f"rhs: {cell.rhs}"]
+    _write(args, suite_mod.REPORT_FIELDS, [cell.csv_row()], latex,
+           lambda: cell.to_json() + "\n", plain)
     return 0 if cell.status != "mismatch" else 1
 
 
 def _cmd_suite(args) -> int:
     report = suite_mod.run_suite(args.n_max, args.r_max, args.s_max,
                                  seed=args.seed, jobs=args.jobs)
-    if args.format == "json":
-        sys.stdout.write(report.to_jsonl())
-    elif args.format == "csv":
-        sys.stdout.write(_cells_csv(report.cells))
-    elif args.format == "latex":
-        lines = ["\\begin{tabular}{lrrrr}",
-                 "identity & cells & equal & mismatch & skipped \\\\"]
-        for ident, t in report.tallies().items():
-            lines.append(f"{ident.replace('_', chr(92) + '_')} & {t['total']} & "
-                         f"{t['equal']} & {t['mismatch']} & {t['skipped']} \\\\")
-        lines.append("\\end{tabular}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        rows = dict(report.tallies(), total=report.totals())
-        for name, t in rows.items():
-            sys.stdout.write(f"{name}: {t['total']} cells, {t['equal']} equal, "
-                             f"{t['mismatch']} mismatch, {t['skipped']} skipped\n")
+    tallies = report.tallies()
+    latex = ["\\begin{tabular}{lrrrr}", "identity & cells & equal & mismatch & skipped \\\\",
+             *(f"{ident.replace('_', chr(92) + '_')} & {t['total']} & {t['equal']} & "
+               f"{t['mismatch']} & {t['skipped']} \\\\" for ident, t in tallies.items()),
+             "\\end{tabular}"]
+    plain = [f"{name}: {t['total']} cells, {t['equal']} equal, {t['mismatch']} mismatch, "
+             f"{t['skipped']} skipped" for name, t in dict(tallies, total=report.totals()).items()]
+    _write(args, suite_mod.REPORT_FIELDS, (c.csv_row() for c in report.cells), latex,
+           report.to_jsonl, plain)
     return 0 if report.ok else 1
 
 

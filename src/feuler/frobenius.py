@@ -99,15 +99,17 @@ def j_lambda(p: XPoly, s: int = 1) -> XPoly:
     J is g(D) for g(t) = (e^t - L)/(1 - L), and g(t)^s has the order -s
     numbers as its divided coefficients, so J^s x^m = H_m^{(-s)}(x|L) and
     the x^k coefficient of J^s p is sum_{m>=k} C(m,k) c_m H_{m-k}^{(-s)}(L):
-    one dot of d - k terms over the row, its zero terms left out before
-    C(m,k) is taken.  For s >= 0 that is Theorem 1's evaluation formula with
-    its sum over the shifts j done first.  fe_numbers is looked up by name
-    when it runs, so a rebound module attribute is the row J reads.
+    one dot of at most d - k terms over the row, the nonzero c_m listed
+    once and the zero terms left out before C(m,k) is taken.  For s >= 0
+    that is Theorem 1's evaluation formula with its sum over the shifts j
+    done first.  fe_numbers is looked up by name when it runs, so a
+    rebound module attribute is the row J reads.
     """
     cs = p.coeffs
     h = fe_numbers(len(cs) - 1, -s)
+    terms = [m for m, c in enumerate(cs) if c]
     return XPoly._trimmed([dot((comb(m, k), cs[m], h[m - k])
-                               for m in range(k, len(cs)) if cs[m] and h[m - k])
+                               for m in terms if m >= k and h[m - k])
                            for k in range(len(cs))])
 
 

@@ -11,6 +11,7 @@ strings compared.  A report is a deterministically ordered list
 of cells plus a summary; serialized reports from a serial run and a
 parallel run are byte-identical because no cell is timed: each line's
 ``elapsed_us`` key, kept for readers of the format, is always 0.
+``Cell.report_row`` gives a line's fields once, for JSON and CSV alike.
 
 ``IDENTITIES`` describes every identity once: the arguments of its
 ``verify_<id>`` function and the grid a report runs it over.  Both
@@ -76,10 +77,10 @@ IDENTITY_IDS = tuple(IDENTITIES)
 _ONE_MINUS = ONE - LAMBDA
 
 
-def _json_text(obj, **options) -> str:
+def _json_text(obj) -> str:
     # imported here so that plain and LaTeX output do not load json
     import json
-    return json.dumps(obj, **options)
+    return json.dumps(obj)
 
 
 class Cell(namedtuple("Cell", "identity params status lhs rhs")):
@@ -91,16 +92,23 @@ class Cell(namedtuple("Cell", "identity params status lhs rhs")):
 
     __slots__ = ()
 
+    def report_row(self) -> tuple:
+        """The values of one report line, named by REPORT_FIELDS: the
+        parameters sorted by name, and elapsed_us 0."""
+        return (self.identity, {k: self.params[k] for k in sorted(self.params)},
+                self.status, self.lhs, self.rhs, 0)
+
     def to_json(self) -> str:
-        """One report line: fixed key order, parameters sorted by name."""
-        return _json_text({
-            "identity": self.identity,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "elapsed_us": 0,
-        })
+        """One JSONL report line."""
+        return _json_text(dict(zip(REPORT_FIELDS, self.report_row())))
+
+    def csv_row(self) -> tuple:
+        """One CSV report line: report_row() with the parameters as JSON text."""
+        identity, params, *rest = self.report_row()
+        return (identity, _json_text(params), *rest)
+
+
+REPORT_FIELDS = Cell._fields + ("elapsed_us",)
 
 
 def _finish(identity, params, lhs, rhs) -> Cell:

@@ -1,5 +1,6 @@
 """Parser and command-line behavior."""
 
+import hashlib
 import io
 import json
 import random
@@ -641,6 +642,17 @@ def test_cli_suite_parallel_same_bytes():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("fmt", ["plain", "latex"])
+def test_cli_suite_builds_no_json_for_plain_or_latex(monkeypatch, fmt):
+    def no_json(obj):
+        raise AssertionError(f"JSON text built for --format {fmt}")
+
+    monkeypatch.setattr(suite, "_json_text", no_json)
+    code, out, _ = run_cli("suite", "--n-max", "2", "--r-max", "1",
+                           "--s-max", "1", "--format", fmt)
+    assert code == 0 and out
+
+
 def test_cli_suite_csv_has_cells():
     code, out, _ = run_cli("suite", "--n-max", "1", "--r-max", "1",
                            "--s-max", "1", "--format", "csv")
@@ -649,6 +661,115 @@ def test_cli_suite_csv_has_cells():
     assert lines[0] == "identity,params,status,lhs,rhs,elapsed_us"
     report = suite.run_suite(1, 1, 1)
     assert len(lines) == 1 + len(report.cells)
+
+
+# Each call's exit code and the sha256 of its stdout, in every format: every
+# command, with and without --lambda, verify of three identities and a small
+# suite.  The large-grid digests pin suite's JSON only; these pin the rest.
+BYTE_PINS = {
+    "numbers --n-max 4 --order 2 --format plain":
+        (0, "25c5d2c9c5c2932f0e0257d0e138896f38f8e7fde1760c38426bab006faae7c4"),
+    "numbers --n-max 4 --order 2 --format latex":
+        (0, "0667b52ff74ecf63771f04df8d91e16f075fea89ca58bd1d4ef3e0c6cf45dc46"),
+    "numbers --n-max 4 --order 2 --format csv":
+        (0, "f3f136414950f370a33fb682fcd0500a8cb09abef75161204be6b82a87451a4f"),
+    "numbers --n-max 4 --order 2 --format json":
+        (0, "781b9d0ed68d2488401293c9703459e9de922daadf0848d4f1f80af5be9f28f7"),
+    "numbers --n-max 4 --order 2 --lambda 1/3 --format plain":
+        (0, "b04df6fea6022aaac4e0373fcc9559c9aa78409ab9982e98daef836857ab7cf4"),
+    "numbers --n-max 4 --order 2 --lambda 1/3 --format latex":
+        (0, "c01322219e66c7dd91873cd6e8e21c325da70e6d516f55749bff5e85e54add55"),
+    "numbers --n-max 4 --order 2 --lambda 1/3 --format csv":
+        (0, "d4293899cdd9ed05a25f0382e2f72d77e39b587f9fe5346151f0f82d65eb9b58"),
+    "numbers --n-max 4 --order 2 --lambda 1/3 --format json":
+        (0, "5a6cf62237308e9accef4b1e3fdedb908b0d82b391320706b0886d20ad3b0b88"),
+    "poly --n 3 --order 2 --format plain":
+        (0, "d50157ff7d473874abccfa05d45ea43f2ab66077242c6bbd2d973e4360a60b1b"),
+    "poly --n 3 --order 2 --format latex":
+        (0, "aa3e459b7e61165c35a01f3bb516f00c66fa4b974835c3a701166fd9e8905335"),
+    "poly --n 3 --order 2 --format csv":
+        (0, "d95e9ddada11e921554ef72aa1ffb7bc55baedf88f98e465ad8af1eac28d49de"),
+    "poly --n 3 --order 2 --format json":
+        (0, "3feba06a81c5514fdfce95f9d91a396ec88947e7a6d1e8f6d949e184a0bf9f99"),
+    "poly --n 3 --order 2 --lambda 1/3 --format plain":
+        (0, "aefc13147d1f5b2ea94ef4efa5ca1cbe5c049742d5b41660931942a76fee4547"),
+    "poly --n 3 --order 2 --lambda 1/3 --format latex":
+        (0, "6956094fdf371ea48c6783918e64d9eb7cc3f5eb8d71183f60f67bc41ee01426"),
+    "poly --n 3 --order 2 --lambda 1/3 --format csv":
+        (0, "b477e71267514405ef210effbe51f83b175815613a8d35f3eff093e72aa8d742"),
+    "poly --n 3 --order 2 --lambda 1/3 --format json":
+        (0, "923bd1922d597128a696baa68c7c4c1bf9ed0e3bb1bf1d1d9199f0ebfe5391da"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --format plain":
+        (0, "6e03081bb72d12ea3a98fd72c5fd3d8df313569726b839bf4f99eff7cf9d9a3b"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --format latex":
+        (0, "bcab7146642886a4cf67d244e893753c869b7060ca902d9c7d5cd820ca110318"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --format csv":
+        (0, "e1b32f96428f30d501e5ce870f14a27799fd13b43b73ed09f33035439f6c1855"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --format json":
+        (0, "8dd24edc1583f405989f21232c5248ecde1e3e36cb8c6ad9082e7ccfd9b48b22"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --lambda 1/3 --format plain":
+        (0, "97562e12df855d333a605d3ad8d7df9ce77e3007ab9a1f1402995d31936479e9"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --lambda 1/3 --format latex":
+        (0, "0a5d3a9d32607387a7a1562bca24f5a85a4a67047008de3076ecf4950f2624c7"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --lambda 1/3 --format csv":
+        (0, "994dfc255640fc5220edfdabb09173094e65bbe9ec7f17baf4785a6d2bd1fa6e"),
+    "convert --poly (x+L)^3/(2-L)-x/3 --order 2 --lambda 1/3 --format json":
+        (0, "67461132dd63a138a11f3488274c74e3135cbe1b997db4d15c3f5945c0cb9701"),
+    "stirling --n 5 --k 2 --format plain":
+        (0, "52dac1706767ffdfa2453d9e611e7a0f74da6f45ad721d0c70233f7f74fee014"),
+    "stirling --n 5 --k 2 --format latex":
+        (0, "87e3e12f02c181baafc7b0a3e864fb8c388c6ba26cb20b879e31e62fe2a6296a"),
+    "stirling --n 5 --k 2 --format csv":
+        (0, "3fbae3949f47ac5682fa6edccb4f4a8cc704c86112ac8fd335bfa4c29f74862e"),
+    "stirling --n 5 --k 2 --format json":
+        (0, "b779d4b7652b2f5e84e0bd79b2d5734adfe6cf2615c13c2fb8129bf328f91eee"),
+    "stirling --n 5 --k 2 --lambda 1/3 --format plain":
+        (0, "a372ceb464ab7459409349924c4e7d3457438922ad918cf18fc550d64f3017bd"),
+    "stirling --n 5 --k 2 --lambda 1/3 --format latex":
+        (0, "28f46460411262d0c8fa67e36a27439bd325db2a559e65084355c21ea0c11a1d"),
+    "stirling --n 5 --k 2 --lambda 1/3 --format csv":
+        (0, "7dbabc9346927921e686e04651ba2eae935f133fe7aa495e7a01040b51e2d385"),
+    "stirling --n 5 --k 2 --lambda 1/3 --format json":
+        (0, "78ccffcef349e47b48a0a6b7f28ac83b545fb327e7e22541a6afc8559669f564"),
+    "verify --identity thm2 --n 3 --r 2 --s 1 --format plain":
+        (0, "84f1ff342912ae48dd685d6dde015cccbc7f9cce992cf89c88a246458f33f07b"),
+    "verify --identity thm2 --n 3 --r 2 --s 1 --format latex":
+        (0, "5dc0836ea9da3a31454640a7de74b81adf4f8e7a429aa88e255ac82a28765bb9"),
+    "verify --identity thm2 --n 3 --r 2 --s 1 --format csv":
+        (0, "dbe8a3064c7ecefbe9731698de2638f0de3c96b9889aa5b6e571708e753c39a9"),
+    "verify --identity thm2 --n 3 --r 2 --s 1 --format json":
+        (0, "c621bd1dca8a22f4156664d153632f729efe4decf8903e701d186ec5e0c52a96"),
+    "verify --identity thm5 --n 4 --r 2 --format plain":
+        (0, "600ce73a16c78da269c44717b525863441d2cae939a9770bad1fa7106ae065be"),
+    "verify --identity thm5 --n 4 --r 2 --format latex":
+        (0, "79464730d3573816451f1d62796bc9e52e0afcc42b243c366d0143de8b9085e0"),
+    "verify --identity thm5 --n 4 --r 2 --format csv":
+        (0, "e3cad103d813f418dcefd39a725bd1a246323eda5e051d0baaa9d1d188a256d1"),
+    "verify --identity thm5 --n 4 --r 2 --format json":
+        (0, "05abbc30a447757b57db3badd026862a1787d21a0d8f225f37f9c4a574fe8c89"),
+    "verify --identity thm1_roundtrip --index 4 --format plain":
+        (0, "8a930f9b91f3c67a1b77d1a979e52aa704e57e15827bbcd3e34f5eea24556c14"),
+    "verify --identity thm1_roundtrip --index 4 --format latex":
+        (0, "7445291fa882745d4a9616d917a95cca3ab32bb2a7f693182625573fa4926563"),
+    "verify --identity thm1_roundtrip --index 4 --format csv":
+        (0, "31f3a0e65221c0a2ea18bc6a54261ecbdedd0b14e2aa553c25401c1c10259440"),
+    "verify --identity thm1_roundtrip --index 4 --format json":
+        (0, "b2b2b83d7dae4bbdc2791820047816a7fd7395a9328bdf0000976a2398088412"),
+    "suite --n-max 2 --r-max 1 --s-max 1 --format plain":
+        (0, "f4b0fae0537a1cf6cd7deb2ebb4732ef6120a3bbcb4ade265382fc3478f24893"),
+    "suite --n-max 2 --r-max 1 --s-max 1 --format latex":
+        (0, "161bd9189a1e96f8b85e4605f6b04229bcc8e8a17aefe2b0b7092260964c367d"),
+    "suite --n-max 2 --r-max 1 --s-max 1 --format csv":
+        (0, "3d38e8db77c944362db95155d97ab31a28295bef3f14b6a2bb4a2212f19a133b"),
+    "suite --n-max 2 --r-max 1 --s-max 1 --format json":
+        (0, "d52147056252c569f638e3bd93a110282812fbddc7902b0fe57f10ea18386ae9"),
+}
+
+
+@pytest.mark.parametrize("call", list(BYTE_PINS))
+def test_cli_prints_the_pinned_bytes(call):
+    code, out, _ = run_cli(*call.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == BYTE_PINS[call]
 
 
 def test_latex_helpers():
