@@ -10,9 +10,10 @@ rows of order -s, step between orders, and connect the polynomials to
 the L-analogue of the Stirling numbers of the second kind.
 
 Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, scalar's
-memo of the rows of (1 - L)^e among them, except the rows of numbers,
-which live in ``_ROWS`` (order -> row) and are extended on demand from
-their last entry; ``clear_caches()`` empties all of them.
+memos of the rows of (1 - L)^e and of common denominators among them,
+except the rows of numbers, which live in ``_ROWS`` (order -> row) and
+are extended on demand from their last entry; ``clear_caches()`` empties
+all of them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .scalar import (LAMBDA, ONE, ZERO, LambdaRat, _iprim, _itrim, _one_minus_l_pow, _strip,
-                     dot)
+from .scalar import (LAMBDA, ONE, ZERO, LambdaRat, _common_den, _iprim, _itrim,
+                     _one_minus_l_pow, _strip, dot)
 from .umbral import TruncSeries
 from .xpoly import XPoly
 
@@ -178,10 +179,10 @@ def _split_sum_numbers(n: int, r: int, s: int) -> LambdaRat:
 
 
 # held here, not looked up by name, so that clear_caches reaches the caches
-# even when a module attribute has been rebound to a wrapper; the last is
-# scalar's memo of the rows of (1 - L)^e
+# even when a module attribute has been rebound to a wrapper; the last two
+# are scalar's memos of the rows of (1 - L)^e and of common denominators
 _MEMOS = (fe_poly, _longest_series, _delta_coeffs, surjection_sum, lowering_coeff,
-          _split_sum_numbers, _one_minus_l_pow)
+          _split_sum_numbers, _one_minus_l_pow, _common_den)
 
 
 class BasisExpansion(namedtuple("BasisExpansion", "order coefficients")):

@@ -18,12 +18,15 @@ values coincides with structural (and textual) equality.
   content.  The polynomial gcd is heuristic (GCDHEU: one big-integer gcd
   of the two polynomials' values at a point, checked by exact division),
   with the primitive pseudo-remainder sequence as its fallback.  A
-  product by a constant scales the content; any other product is
-  ``dot``'s one-term case; construction is one ``_reduce`` term; every
-  gcd is taken in ``_reduce``.  Sums lift the numerators of the smaller
-  exponents by (1 - L)^(e_max - e) and add.  Then (1 - L) is stripped
-  from the numerator while its coefficients sum to zero, one synthetic
-  division b_i = a_0 + ... + a_i each; by Gauss's lemma the quotient of a
+  product by a constant, an int, a Fraction or a constant ``LambdaRat``,
+  scales the content; any other product is ``dot``'s one-term case;
+  construction is one ``_reduce`` term, reduced as given; every gcd is
+  taken in ``_reduce`` and its memo of common denominators.  A sum of
+  terms over (1 - L)^e is taken in Horner order, smallest e first: each
+  larger exponent k lifts the running sum by (1 - L)^(k - e) and adds
+  the term in one pass.  Then (1 - L) is stripped from the numerator
+  while its coefficients sum to zero, one synthetic division
+  b_i = a_0 + ... + a_i each; by Gauss's lemma the quotient of a
   primitive polynomial by (1 - L) is primitive with the same lowest
   coefficient.  Only a nontrivial r costs a gcd, so no gcd runs over
   powers of (1 - L).
@@ -31,14 +34,15 @@ values coincides with structural (and textual) equality.
   above (XPoly products, shifts and values, series products, J, the
   basis changes and the suite's split sums): the sum of w * x * y over
   (int w, LambdaRat x, LambdaRat y) triples, reduced once.  It multiplies
-  the numerators, puts the contents over one common integer denominator,
-  adds the numerators of each (r, e) and lifts the sums of each r to its
-  largest e; the sums of distinct r then go over one common denominator
-  (1 - L)^E * R, R the lcm of the r, and are added.  It strips, takes
-  the content and reduces against R once, where a pairwise fold does all
-  of that once per operation.  ``+`` is the two-term case, each operand
-  with its own (e, r).  The result is the pairwise fold's, since the
-  canonical form is unique.
+  the numerators, puts the contents over one common integer denominator
+  and sums the terms of each r in Horner order; the sums of distinct r
+  then go over one common denominator (1 - L)^E * R, R the lcm of the r,
+  memoized by the tuple of r since it depends on the denominators only,
+  and are summed the same way.  It takes the content, strips and reduces
+  against R once, where a pairwise fold does all of that once per
+  operation.  ``+`` is the two-term case, each operand with its own
+  (e, r).  The result is the pairwise fold's, since the canonical form
+  is unique.
 * Values enter through ``LambdaRat(num, den)``, each side an int, a
   Fraction or a sequence of them, ascending in L: ``_split`` puts the
   coefficients over the lcm of their denominators and takes the content,
@@ -57,8 +61,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, zip_longest
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -244,9 +249,8 @@ def _one_minus_l_pow(e: int) -> tuple:
 
 def _lift(p, d: int) -> list:
     """p * (1 - L)^d, one factor at a time: b_i = a_i - a_(i-1)."""
-    p = list(p)
     for _ in range(d):
-        p = [a - b for a, b in zip(p + [0], [0] + p)]
+        p = [u - v for u, v in zip_longest(p, chain((0,), p), fillvalue=0)]
     return p
 
 
@@ -292,58 +296,79 @@ def _parts(q) -> tuple:
     return e - k, tuple(r)
 
 
+@lru_cache(maxsize=None)
+def _common_den(rs) -> tuple:
+    """(R, (R / r for each r)) for a tuple rs of distinct r, R their lcm.
+
+    It depends on the denominators only, and a grid's sums meet few
+    tuples, so it is memoized.
+    """
+    big_r = rs[0]
+    for r in rs[1:]:
+        g = _igcd(big_r, r)
+        big_r = tuple(_imul(big_r, r if len(g) == 1 else _iquo(r, g)))
+    return big_r, tuple(_iquo(big_r, r) for r in rs)
+
+
+def _walk(items) -> tuple:
+    """(e, acc) with acc / (1 - L)^e the sum of a * p / (1 - L)^k over
+    (k, a, p) items, e the largest k, in Horner order: the items are
+    sorted by k in place, and each larger k is one pass
+    acc * (1 - L)^(k - e) + a * p after any extra factors are lifted."""
+    items.sort(key=itemgetter(0))
+    e, a, p = items[0]
+    acc = [a * c for c in p]
+    for k, a, p in items[1:]:
+        if k == e:
+            _addto(acc, a, p)
+            continue
+        acc = _lift(acc, k - e - 1)
+        acc = [u - v + a * c for u, v, c in zip_longest(acc, chain((0,), acc), p, fillvalue=0)]
+        e = k
+    return e, acc
+
+
 def _reduce(terms) -> "LambdaRat":
     """The sum of (a / b) * p / ((1 - L)^e * r) over (a, b, p, e, r) terms,
     in canonical form; b > 0, r is prime to 1 - L, and p need not be
     reduced against (1 - L)^e * r.
 
-    The contents go over one common integer denominator d, and the
-    numerators of equal (r, e) are added.  For each r the sums are lifted,
-    smallest e first, to the largest and added.  The groups that did not
-    cancel go over one common denominator (1 - L)^E * R, E their largest
-    exponent and R the lcm of their r: each is lifted by (1 - L)^(E - e)
-    and multiplied by R / r, and the groups are added.  Then (1 - L) is
-    stripped once, the content taken, and one gcd reduces the sum against
-    R, none when R is 1, as it is for every Frobenius-Euler value.
+    One term is reduced as given.  Otherwise the contents go over one
+    common integer denominator d, the terms are grouped by r, and each
+    group is summed by ``_walk`` over (1 - L) to its largest e.  The
+    groups that did not cancel go over one common denominator
+    (1 - L)^E * R, R the lcm of their r from the memo ``_common_den``:
+    each sum is multiplied by R / r, and the sums are walked the same way.
+    Then the content is taken, (1 - L) stripped once, and one gcd reduces
+    the sum against R, none when R is 1, as it is for every
+    Frobenius-Euler value.
     """
-    d = lcm(*[t[1] for t in terms])
-    sums = {}
-    for a, b, p, e, r in terms:
-        a *= d // b
-        by_e = sums.get(r)
-        if by_e is None:
-            sums[r] = {e: [a * c for c in p]}
-        elif e in by_e:
-            _addto(by_e[e], a, p)
-        else:
-            by_e[e] = [a * c for c in p]
-    groups = []
-    for r, by_e in sums.items():
-        if len(by_e) == 1:
-            (e, acc), = by_e.items()
-        else:
-            acc = None
-            for k in sorted(by_e):
-                acc = by_e[k] if acc is None else _addto(_lift(acc, k - e), 1, by_e[k])
-                e = k
-        if _itrim(acc):
-            groups.append((r, e, acc))
-    if not groups:
-        return ZERO
-    big_r, e, acc = groups[0]
-    if len(groups) > 1:
-        for r, _, _ in groups[1:]:
-            g = _igcd(big_r, r)
-            big_r = tuple(_imul(big_r, r if len(g) == 1 else _iquo(r, g)))
-        e = max(t[1] for t in groups)
-        acc = []
-        for r, k, num in groups:
-            if len(r) < len(big_r):
-                num = _imul(num, _iquo(big_r, r))
-            _addto(acc, 1, _lift(num, e - k))
-        if not _itrim(acc):
+    if len(terms) == 1:
+        (a, d, acc, e, big_r), = terms
+        if not acc:
             return ZERO
-    a, pn = _iprim(acc)
+    else:
+        a, d = 1, lcm(*[t[1] for t in terms])
+        groups = {}
+        for c, b, p, e, r in terms:
+            groups.setdefault(r, []).append((e, c * (d // b), p))
+        sums = []
+        for r, items in groups.items():
+            e, acc = _walk(items)
+            if _itrim(acc):
+                sums.append((e, r, acc))
+        if not sums:
+            return ZERO
+        if len(sums) == 1:
+            (e, big_r, acc), = sums
+        else:
+            big_r, cofs = _common_den(tuple(r for _, r, _ in sums))
+            e, acc = _walk([(k, 1, p if len(c) == 1 else _imul(p, c))
+                            for (k, _, p), c in zip(sums, cofs)])
+            if not _itrim(acc):
+                return ZERO
+    c, pn = _iprim(acc)
+    a *= c
     pn, e = _strip(pn, e)
     if len(big_r) > 1:
         g = _igcd(pn, big_r)
@@ -541,16 +566,21 @@ class LambdaRat:
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
+        if isinstance(other, LambdaRat):
+            if self.p == self.r == (1,) and not self.e:
+                self, other = other, self
+            if other.p != (1,) or other.r != (1,) or other.e:
+                return dot(((1, self, other),))
+            num, den = other.a, other.b
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return ZERO
+            num, den = other.numerator, other.denominator
+        else:
+            return NotImplemented
         # a constant factor scales the content only
-        if self.p == self.r == (1,) and not self.e:
-            self, other = other, self
-        if other.p == other.r == (1,) and not other.e:
-            a, b = _cmul(self.a, self.b, other.a, other.b)
-            return LambdaRat._make(a, b, self.p, self.e, self.r)
-        return dot(((1, self, other),))
+        a, b = _cmul(self.a, self.b, num, den)
+        return LambdaRat._make(a, b, self.p, self.e, self.r)
 
     __rmul__ = __mul__
 

@@ -508,14 +508,17 @@ def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
 
 def test_clear_caches_empties_every_memo():
     def values():
+        # the last is a sum over two distinct r, 1 + L and 2 - L
         return (fe_numbers(6, 3), fe_poly(6, 2), fe_numbers(6, -2), stirling_lambda(6, 3),
-                lowering_coeff(3, 5), fe_series(2, 6), frobenius._split_sum_numbers(4, 2, 1))
+                lowering_coeff(3, 5), fe_series(2, 6), frobenius._split_sum_numbers(4, 2, 1),
+                LambdaRat(1, [1, 1]) + LambdaRat(1, [2, -1]))
 
     before = values()
     # a memoized polynomial is the same object on every call
     assert fe_poly(5, 2) is fe_poly(5, 2)
     memos = (fe_poly, frobenius._longest_series, frobenius._delta_coeffs, surjection_sum,
-             lowering_coeff, frobenius._split_sum_numbers, scalar._one_minus_l_pow)
+             lowering_coeff, frobenius._split_sum_numbers, scalar._one_minus_l_pow,
+             scalar._common_den)
     assert set(frobenius._MEMOS) == set(memos)
     assert frobenius._ROWS
     assert all(m.cache_info().currsize for m in memos)

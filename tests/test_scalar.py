@@ -256,22 +256,34 @@ def test_one_minus_l_rows_are_alternating_binomials():
 
 def test_every_polynomial_gcd_is_taken_in_reduce(monkeypatch):
     # one canonicaliser: construction, products and sums all reduce
-    # through _reduce, so no other function calls _igcd, and no other
-    # module holds a binding of it that the spy would miss
+    # through _reduce, so no other function calls _igcd but _reduce's
+    # memo of common denominators, which only _reduce calls; no other
+    # module holds a binding that the spies would miss, but frobenius
+    # holds the memo to clear it; the caches start cold, so the test
+    # holds when it runs alone
     callers = Counter()
-    igcd = scalar._igcd
+    den_callers = Counter()
+    igcd, common_den = scalar._igcd, scalar._common_den
 
     def spy(a, b):
         callers[sys._getframe(1).f_code.co_name] += 1
         return igcd(a, b)
 
-    for mod in (xpoly, umbral, frobenius, suite, cli):
+    def den_spy(rs):
+        den_callers[sys._getframe(1).f_code.co_name] += 1
+        return common_den(rs)
+
+    for mod in (xpoly, umbral, suite, cli):
         assert not hasattr(mod, "_igcd"), mod.__name__
+        assert not hasattr(mod, "_common_den"), mod.__name__
+    assert not hasattr(frobenius, "_igcd")
     monkeypatch.setattr(scalar, "_igcd", spy)
+    monkeypatch.setattr(scalar, "_common_den", den_spy)
     frobenius.clear_caches()
     assert suite.run_suite(6, 3, 3).ok
-    assert callers["_reduce"]
-    assert set(callers) <= {"_reduce", "_igcd"}, callers
+    assert callers["_reduce"] and callers["_common_den"]
+    assert set(callers) <= {"_reduce", "_common_den", "_igcd"}, callers
+    assert set(den_callers) == {"_reduce"}, den_callers
 
 
 def test_stored_split_is_read_not_recognised(monkeypatch):

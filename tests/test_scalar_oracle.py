@@ -16,7 +16,7 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
 from feuler.frobenius import fe_numbers  # noqa: E402
-from feuler.scalar import LambdaPoly, LambdaRat, _imul, _parts, dot, lrat  # noqa: E402
+from feuler.scalar import ONE, ZERO, LambdaPoly, LambdaRat, _imul, _parts, dot, lrat  # noqa: E402
 from genutil import check_canonical, rand_lpoly, rand_lrat, times_one_minus_l  # noqa: E402
 
 K, L = field("L", QQ)
@@ -248,6 +248,109 @@ def test_products_cancel_across_operands_like_sympy():
         assert to_sympy(xy) == want
         assert_same(xy, y * x)
         assert_same(xy, from_sympy(want))
+
+
+_WALK_R = ([1], [1, 1], [2, -1], [1, 0, 1])  # 1, 1 + L, 2 - L, 1 + L^2
+
+
+def _walk_terms(rng):
+    # 3 to 8 products over (1 - L)^e * r, r one of _WALK_R and e one of 0,
+    # 2, 5 and 9: gaps of 2 or more, so that the walk lifts more than one
+    # factor before a fused pass, and most sums repeat an (r, e)
+    terms = []
+    for _ in range(rng.randint(3, 8)):
+        den = times_one_minus_l(rng.choice(_WALK_R), rng.choice((0, 2, 5, 9)))
+        x = LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=False), LambdaPoly(den))
+        y = LambdaRat(rand_lpoly(rng, max_deg=2, zero_ok=False))
+        terms.append((rng.randint(-4, 4) or 1, x, y))
+    return terms
+
+
+def _cancelling_pair(rng, r):
+    # w * n / ((1 - L)^2 r) and -w * n (1 - L)^3 / ((1 - L)^5 r): equal
+    # values over two exponents, so the walk's running sum of this r is
+    # zero once it has lifted the first by three factors and added the
+    # second
+    num = rand_lpoly(rng, max_deg=3, zero_ok=False)
+    w = rng.randint(1, 4)
+    lo = LambdaRat(num, LambdaPoly(times_one_minus_l(r, 2)))
+    hi = LambdaRat(num, LambdaPoly(times_one_minus_l(r, 5)))
+    return [(w, lo, ONE), (-w, hi, LambdaRat(LambdaPoly(times_one_minus_l([1], 3))))]
+
+
+def test_horner_walk_matches_sympy_and_the_fold():
+    # sums over mixed r and spread, repeated exponents; half of them hold
+    # a pair that cancels partway through the walk, which then goes on
+    # to a term over (1 - L)^9 and the same r, and a third are repeated
+    # with the negated sum appended, so that they cancel at the end
+    rng = random.Random(1214)
+    for i in range(100):
+        terms = _walk_terms(rng)
+        if i % 2:
+            r = rng.choice(_WALK_R)
+            terms += _cancelling_pair(rng, r)
+            den = LambdaPoly(times_one_minus_l(r, 9))
+            terms.append((1, LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=False), den), ONE))
+            rng.shuffle(terms)
+        want = sum((w * to_sympy(x) * to_sympy(y) for w, x, y in terms), K.zero)
+        fold = sum((w * x * y for w, x, y in terms), lrat(0))
+        got = dot(terms)
+        check_canonical(got)
+        assert to_sympy(got) == want
+        assert_same(got, fold)
+        if i % 3 == 0:
+            zero = dot(terms + [(-1, fold, ONE)])
+            check_canonical(zero)
+            assert_same(zero, ZERO)
+    # the pair alone cancels to zero, and so does each r's pair in one sum
+    pairs = [t for r in _WALK_R for t in _cancelling_pair(rng, r)]
+    assert_same(dot(pairs[:2]), ZERO)
+    assert_same(dot(pairs), ZERO)
+
+
+def test_one_term_reduction_cancels_against_r():
+    # (1 + L) n / (1 + L) is n; so is any r (1 - L)^k n over r (1 - L)^e,
+    # as a constructed value and as a product, dot's one-term case
+    assert_same(LambdaRat(LambdaPoly([3, 5, 2]), LambdaPoly([1, 1])), LambdaRat([3, 2]))
+    rng = random.Random(1215)
+    for _ in range(80):
+        r = rng.choice(_WALK_R[1:])
+        n = rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs
+        e = rng.randint(0, 3)
+        num = _scaled(rng, times_one_minus_l(_imul(n, r), rng.randint(0, e)))
+        den = _scaled(rng, times_one_minus_l(r, e))
+        want = sympy_poly(num.coeffs) / sympy_poly(den.coeffs)
+        v = LambdaRat(num, den)
+        check_canonical(v)
+        assert v.r == (1,)
+        assert to_sympy(v) == want
+        assert_same(v, from_sympy(want))
+        product = LambdaRat(num) * LambdaRat(1, den)
+        check_canonical(product)
+        assert_same(product, v)
+
+
+@pytest.mark.parametrize("c", [3, -4, Fraction(-5, 6), 0, True, lrat(Fraction(7, 2))],
+                         ids=["int", "negative", "fraction", "zero", "true", "constant"])
+def test_constant_factor_scales_the_content(c):
+    # the number on either side; checked against SymPy and against dot's
+    # one-term reduction of the same product, a route that does not scale
+    # the content directly; zero times anything is zero
+    rng = random.Random(1216)
+    sc = to_sympy(lrat(c))
+    for i in range(60):
+        v = rand_lrat(rng, max_deg=3)
+        if i % 2:
+            v = v * _over_one_minus_l(rand_lpoly(rng, max_deg=2).coeffs, rng.randint(0, 4))
+        for got in (v * c, c * v):
+            check_canonical(got)
+            assert to_sympy(got) == to_sympy(v) * sc
+            assert_same(got, dot([(1, v, lrat(c))]))
+        if not (v and c):
+            assert_same(v * c, ZERO)
+            assert_same(c * v, ZERO)
+    with pytest.raises(TypeError):
+        v * 1.5
 
 
 def _positive_order_numbers(s: int, n_max: int) -> list:
