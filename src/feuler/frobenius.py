@@ -10,10 +10,10 @@ rows of order -s, step between orders, and connect the polynomials to
 the L-analogue of the Stirling numbers of the second kind.
 
 Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, scalar's
-memos of the rows of (1 - L)^e and of common denominators among them,
-except the rows of numbers, which live in ``_ROWS`` (order -> row) and
-are extended on demand from their last entry; ``clear_caches()`` empties
-all of them.
+memos of the rows of (1 - L)^e and of common denominators among them;
+the rows of numbers are one of them, a list per order that ``_row``
+extends on demand from its last entry.  ``clear_caches()`` empties all
+of them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ from .xpoly import XPoly
 
 _INV = (ONE - LAMBDA).inverse()
 
-_ROWS = {}
+
+@lru_cache(maxsize=None)
+def _rows(r: int) -> list:
+    # the row of order r as built so far, which _row extends in place
+    return [ONE]
 
 
 def _row(r: int, n_max: int) -> list:
@@ -46,7 +50,7 @@ def _row(r: int, n_max: int) -> list:
     and the content taken: the numerator is then prime to the denominator
     and the value canonical.  A zero entry (order 0) stays zero.
     """
-    row = _ROWS.setdefault(r, [ONE])
+    row = _rows(r)
     for _ in range(len(row), n_max + 1):
         h = row[-1]
         p, e = h.p, h.e
@@ -62,8 +66,7 @@ def _row(r: int, n_max: int) -> list:
 
 
 def clear_caches():
-    """Empty every memo: the rows of numbers and the lru_caches in _MEMOS."""
-    _ROWS.clear()
+    """Empty every memo in _MEMOS."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -114,19 +117,14 @@ def j_lambda(p: XPoly, s: int = 1) -> XPoly:
                            for k in range(len(cs))])
 
 
-@lru_cache(maxsize=None)
-def _delta_coeffs(n: int, k: int) -> tuple:
+def delta_pow_at_zero(n: int, k: int) -> LambdaRat:
+    """k-th power of the difference p(x) -> p(x+1) - L p(x), on x^n, at 0."""
     # integer coefficients in L of sum_j C(k,j)(-L)^{k-j} j^n, with 0^0 = 1:
     # the coefficient of L^m is C(k,m)(-1)^m (k-m)^n, the m-th entry of the
     # row of (1 - L)^k times (k-m)^n; the last, 0^n, is zero for n > 0 and
-    # left out, so the tuple ends in a nonzero coefficient
+    # left out, so the list ends in a nonzero coefficient
     row = _one_minus_l_pow(k)
-    return tuple(row[m] * (k - m) ** n for m in range(k + 1 if n == 0 else k))
-
-
-def delta_pow_at_zero(n: int, k: int) -> LambdaRat:
-    """k-th power of the difference p(x) -> p(x+1) - L p(x), on x^n, at 0."""
-    c = _delta_coeffs(n, k)
+    c = [row[m] * (k - m) ** n for m in range(k + 1 if n == 0 else k)]
     if not c:
         return ZERO
     a, p = _iprim(c)
@@ -142,33 +140,35 @@ def stirling_lambda(n: int, k: int) -> LambdaRat:
     return delta_pow_at_zero(n, k) * Fraction(1, factorial(k))
 
 
-@lru_cache(maxsize=None)
-def surjection_sum(l: int, m: int) -> int:
-    """Sum of multinomial(l; k_1..k_m) over compositions of l into m parts >= 1.
-
-    That is the number of surjections from an l-set onto an m-set, built
-    row by row in l from surj(l, m) = m (surj(l-1, m-1) + surj(l-1, m)).
-    """
-    if m > l:
-        return 0
-    row = [1] + [0] * m
+def _surjection_row(l: int, m_max: int) -> list:
+    # surj(l, 0), ..., surj(l, m_max) in one pass per element of the l-set,
+    # each from surj(l, m) = m (surj(l-1, m-1) + surj(l-1, m))
+    row = [1] + [0] * m_max
     for _ in range(l):
-        for j in range(m, 0, -1):
+        for j in range(m_max, 0, -1):
             row[j] = j * (row[j - 1] + row[j])
         row[0] = 0
-    return row[m]
+    return row
+
+
+def surjection_sum(l: int, m: int) -> int:
+    """Sum of multinomial(l; k_1..k_m) over compositions of l into m parts >= 1:
+    the number of surjections from an l-set onto an m-set."""
+    return _surjection_row(l, m)[m]
 
 
 @lru_cache(maxsize=None)
 def lowering_coeff(s: int, l: int) -> LambdaRat:
     """Weight of C(n,l) H_{n-l}^{(r)} when an order-r sequence is lowered s steps.
 
-    sum_{m <= min(s, l)} C(s,m) (1-L)^{-m} * surjection_sum(l, m); every
-    term past that bound vanishes, since C(s,m) = 0 for m > s and no
-    l-set maps onto a larger set.
+    sum_{m <= M} C(s,m) (1-L)^{-m} surj(l, m), M = min(s, l): every term
+    past M vanishes, since C(s,m) = 0 for m > s and no l-set maps onto a
+    larger set.  The counts are one row, looked up by name when it runs.
     """
-    return dot((comb(s, m) * surjection_sum(l, m), ONE,
-                LambdaRat._make(1, 1, (1,), m)) for m in range(min(s, l) + 1))
+    m_max = min(s, l)
+    surj = _surjection_row(l, m_max)
+    return dot((comb(s, m) * surj[m], ONE, LambdaRat._make(1, 1, (1,), m))
+               for m in range(m_max + 1))
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +181,8 @@ def _split_sum_numbers(n: int, r: int, s: int) -> LambdaRat:
 # held here, not looked up by name, so that clear_caches reaches the caches
 # even when a module attribute has been rebound to a wrapper; the last two
 # are scalar's memos of the rows of (1 - L)^e and of common denominators
-_MEMOS = (fe_poly, _longest_series, _delta_coeffs, surjection_sum, lowering_coeff,
-          _split_sum_numbers, _one_minus_l_pow, _common_den)
+_MEMOS = (_rows, fe_poly, _longest_series, lowering_coeff, _split_sum_numbers,
+          _one_minus_l_pow, _common_den)
 
 
 class BasisExpansion(namedtuple("BasisExpansion", "order coefficients")):

@@ -8,8 +8,11 @@ order-1 generating-function recurrence, the binomial convolution of rows
 of lower order, and the closed form of negative orders.
 """
 
+import importlib
 import pickle
+import pkgutil
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, factorial
@@ -19,7 +22,8 @@ import pytest
 from feuler.scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, dot, lrat
 from feuler.umbral import TruncSeries, appell_expand, appell_sequence
 from feuler.xpoly import X, XPoly
-from feuler import frobenius, scalar
+import feuler
+from feuler import frobenius
 from feuler.frobenius import (
     BasisExpansion,
     delta_pow_at_zero,
@@ -191,10 +195,12 @@ def test_closed_form_numerator_valuation_at_one():
     # (E - L)^s = ((E - 1) + (1 - L))^s and (E - 1)^m x^n at 0 is m! S(n, m),
     # nonzero for 1 <= m <= n: the lowest power of (1 - L) left is
     # (1 - L)^(s - min(s, n)); at s = 0 the value is 0^n
+    # (the content taken out of the numerator is an integer, so it does not
+    # change the valuation)
     for n in range(41):
-        assert frobenius._delta_coeffs(n, 0) == ((1,) if n == 0 else ())
+        assert delta_pow_at_zero(n, 0) == (ONE if n == 0 else ZERO)
         for s in range(1, 41):
-            assert one_minus_l_valuation(frobenius._delta_coeffs(n, s)) == max(s - n, 0), (n, s)
+            assert one_minus_l_valuation(delta_pow_at_zero(n, s).p) == max(s - n, 0), (n, s)
 
 
 def test_tables_make_no_arithmetic_in_q_l(monkeypatch):
@@ -344,8 +350,11 @@ def test_surjection_sum_values():
 
 def test_surjection_sum_matches_enumeration():
     for l in range(15):
+        want = [surjections_enumerated(l, m) for m in range(16)]
         for m in range(16):
-            assert surjection_sum(l, m) == surjections_enumerated(l, m), (l, m)
+            assert surjection_sum(l, m) == want[m], (l, m)
+            # every entry of the row the weights read, not only its last
+            assert frobenius._surjection_row(l, m) == want[:m + 1], (l, m)
 
 
 def test_surjection_sum_large_l():
@@ -359,6 +368,18 @@ def test_lowering_coeff_values():
     assert lowering_coeff(1, 1) == inv
     assert lowering_coeff(2, 1) == 2 * inv
     assert lowering_coeff(2, 2) == 2 * inv + 2 * inv ** 2
+
+
+def test_lowering_coeff_reads_one_row_of_surjection_counts(monkeypatch):
+    # one weight reads one row surj(l, 0..M), M = min(s, l), not one row per
+    # count; the wrapper returns the true row, so the memo keeps true values
+    calls = []
+    row = frobenius._surjection_row
+    monkeypatch.setattr(frobenius, "_surjection_row",
+                        lambda l, m_max: calls.append((l, m_max)) or row(l, m_max))
+    frobenius.clear_caches()
+    assert lowering_coeff(7, 9) * ONE_MINUS ** 7 == factorial(7) * stirling_lambda(9, 7)
+    assert calls == [(9, 7)]
 
 
 def test_lowering_coeff_is_scaled_stirling():
@@ -506,6 +527,24 @@ def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
         assert h[n].den.coeffs == tuple(Fraction((-1) ** k * comb(n, k)) for k in range(n + 1)), n
 
 
+def _memos_in_namespaces():
+    # every object with cache_clear bound in a feuler module or in a class
+    # defined there; __main__ is left out, since importing it runs the CLI
+    found = set()
+    for info in pkgutil.iter_modules(feuler.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"feuler.{info.name}")
+        spaces = [vars(module)] + [vars(v) for v in vars(module).values()
+                                   if isinstance(v, type) and v.__module__ == module.__name__]
+        for space in spaces:
+            for v in space.values():
+                v = getattr(v, "__func__", v)  # a static or class method's function
+                if hasattr(v, "cache_clear"):
+                    found.add(v)
+    return found
+
+
 def test_clear_caches_empties_every_memo():
     def values():
         # the last is a sum over two distinct r, 1 + L and 2 - L
@@ -516,13 +555,25 @@ def test_clear_caches_empties_every_memo():
     before = values()
     # a memoized polynomial is the same object on every call
     assert fe_poly(5, 2) is fe_poly(5, 2)
-    memos = (fe_poly, frobenius._longest_series, frobenius._delta_coeffs, surjection_sum,
-             lowering_coeff, frobenius._split_sum_numbers, scalar._one_minus_l_pow,
-             scalar._common_den)
-    assert set(frobenius._MEMOS) == set(memos)
-    assert frobenius._ROWS
+    memos = frobenius._MEMOS
+    assert _memos_in_namespaces() == set(memos)
     assert all(m.cache_info().currsize for m in memos)
     frobenius.clear_caches()
-    assert not frobenius._ROWS
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
     assert values() == before
+
+
+def test_clear_caches_frees_what_a_large_row_held():
+    # read from tracemalloc, not RSS: the allocator keeps freed pages
+    frobenius.clear_caches()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fe_numbers(400, 1)
+        held, _ = tracemalloc.get_traced_memory()
+        frobenius.clear_caches()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - start > 10 * 2**20, held - start
+    assert left - start < 2**20, left - start

@@ -229,7 +229,8 @@ def _bump_number_at(at):
 
 
 def _bump_surjections_onto_two(orig):
-    return lambda l, m: orig(l, m) + 1 if m == 2 else orig(l, m)
+    # entry m = 2 of every row of counts that has one
+    return lambda l, m_max: [c + 1 if m == 2 else c for m, c in enumerate(orig(l, m_max))]
 
 
 def _bump_shift_by(j):
@@ -272,7 +273,7 @@ ROUTE_ROWS = [
     # remark reads the order-1 row
     pytest.param(frobenius, "fe_numbers", _bump_number_at((1, 2)),
                  {"thm2", "cor3", "cor4", "thm5", "thm6"}, id="split-sum-rows"),
-    pytest.param(frobenius, "surjection_sum", _bump_surjections_onto_two,
+    pytest.param(frobenius, "_surjection_row", _bump_surjections_onto_two,
                  {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}, id="surjection-counts"),
     pytest.param(frobenius, "stirling_lambda", _bump_stirling_at_two,
                  {"thm5", "thm6", "remark"}, id="stirling-at-two"),
