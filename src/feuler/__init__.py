@@ -2,13 +2,7 @@
 
 from .scalar import LAMBDA, NEG_INF, ONE, ZERO, LambdaPoly, LambdaRat, PoleError, lrat
 from .xpoly import X, XPoly
-from .umbral import (
-    NotInvertibleError,
-    TruncationError,
-    TruncSeries,
-    appell_expand,
-    appell_sequence,
-)
+from .umbral import NotInvertibleError, TruncationError, TruncSeries, appell_expand
 from .frobenius import (
     BasisExpansion,
     clear_caches,
@@ -49,7 +43,6 @@ __all__ = [
     "TruncationError",
     "TruncSeries",
     "appell_expand",
-    "appell_sequence",
     "BasisExpansion",
     "clear_caches",
     "delta_pow_at_zero",

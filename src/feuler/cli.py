@@ -8,13 +8,15 @@ The polynomial expression grammar shared by ``convert`` and the tests:
     base     := rational | 'x' | 'L' | '(' expr ')' | '-' base
     rational := int ('/' uint)?
 
-Rationals bind greedily ('3/2^2' is (3/2)^2), division only accepts
-divisors free of x, and everything the canonical printers emit parses
-back to an equal value.  Parentheses and unary minus signs nest at most
-MAX_DEPTH deep, a power's exponent, and the degree in x and in L of a
-power or a product, are at most MAX_DEGREE, and no integer of a
-coefficient has more than MAX_BITS bits; past any limit the parse fails.
-Each limit on a power or a product is checked before it is taken.
+An int is a run of the ASCII digits 0-9; any other character, a
+non-ASCII digit among them, is unexpected.  Rationals bind greedily
+('3/2^2' is (3/2)^2), division only accepts divisors free of x, and
+everything the canonical printers emit parses back to an equal value.
+Parentheses and unary minus signs nest at most MAX_DEPTH deep, a
+power's exponent, and the degree in x and in L of a power or a product,
+are at most MAX_DEGREE, and no integer of a coefficient has more than
+MAX_BITS bits; past any limit the parse fails.  Each limit on a power
+or a product is checked before it is taken.
 
 Every command writes its output through ``_write``, the one reader of
 ``--format``; the fields of a verification cell's report line are those
@@ -61,9 +63,9 @@ def _tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("int", text[i:j], i))
             i = j
@@ -203,7 +205,7 @@ def _bounded(v: XPoly, pos: int, power: int = 1) -> XPoly:
 def _int(text: str, pos: int) -> int:
     try:
         return int(text)
-    except ValueError:  # a digit int() does not read, or too many digits
+    except ValueError:  # more digits than int() reads
         raise PolyParseError("unreadable integer", pos) from None
 
 
@@ -263,6 +265,8 @@ def _fraction_arg(text: str) -> Fraction:
 def _int_in(least=None, most=None):
     """argparse type: an integer from `least` to `most`; an end left None is open."""
     def parse(text: str) -> int:
+        if not text.isascii():  # int() reads any Unicode decimal digit
+            raise ValueError(text)
         value = int(text)
         if least is not None and value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
@@ -450,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_int_in(most=MAX_DEGREE))
     p.add_argument("--k", type=_int_in(most=MAX_DEGREE))
     p.add_argument("--index", type=_int_in(most=MAX_INDEX))
-    p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in(), default=suite_mod.DEFAULT_SEED)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("suite", parents=[fmt],
@@ -459,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_int_in(0), default=4)
     p.add_argument("--s-max", type=_int_in(0), default=4)
     p.add_argument("--jobs", type=_int_in(1, MAX_JOBS), default=1)
-    p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in(), default=suite_mod.DEFAULT_SEED)
     p.set_defaults(run=_cmd_suite)
 
     return top

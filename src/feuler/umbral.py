@@ -7,6 +7,9 @@ the pairing with polynomials is a plain dot product (<f | x^n> = a_n):
 ``functional`` is f as a linear functional on ``XPoly``.  As an operator
 t^k acts on p as the k-th derivative, and ``appell_expand(g, p)`` is the
 coefficient list of g(t)p(x), which is p in the Appell basis of g.
+A series is built by ``_raw`` alone, from the coefficients it keeps:
+the library's series are ``TruncSeries.one``, ``fe_series`` and what
+products and powers make of them, compared through their ``coeffs``.
 
 A power f^n of a unit f, n of either sign, comes from J.C.P. Miller's
 recurrence (Knuth, TAOCP vol. 2, 4.7), read off f h' = n f' h for h = f^n:
@@ -20,12 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .scalar import ONE, ZERO, LambdaRat, _coerce, dot, lrat
+from .scalar import ONE, ZERO, LambdaRat, _coerce, dot
 from .xpoly import XPoly
 
 
 class NotInvertibleError(ValueError):
-    """Reciprocal of a series whose constant term vanishes."""
+    """A power n != 0 of a series whose constant term vanishes."""
 
 
 class TruncationError(ValueError):
@@ -36,16 +39,6 @@ class TruncSeries:
     """Exponential power series truncated past degree ``trunc``."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=(), trunc=None):
-        cs = [lrat(c) for c in coeffs]
-        if trunc is None:
-            trunc = len(cs) - 1
-        if trunc < 0:
-            raise ValueError("truncation bound must be >= 0")
-        del cs[trunc + 1:]
-        cs += [ZERO] * (trunc + 1 - len(cs))
-        self.coeffs = tuple(cs)
 
     @classmethod
     def _raw(cls, coeffs: tuple) -> "TruncSeries":
@@ -62,14 +55,6 @@ class TruncSeries:
     def trunc(self) -> int:
         """The truncation bound: the highest degree kept."""
         return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
@@ -96,21 +81,13 @@ class TruncSeries:
         return self ** -1
 
     def __pow__(self, n: int):
-        """f^n by Miller's recurrence (see the module docstring).  A series
-        t^v u with u a unit has f^n = t^(nv) u^n for n >= 0, the zero series
-        once nv passes the truncation; for n < 0 it fails before any product."""
+        """f^n by Miller's recurrence (see the module docstring), for a unit f;
+        a series with no constant term fails for n != 0 before any product."""
         a, top = self.coeffs, self.trunc
         if not n:
             return TruncSeries.one(top)
         if a[0].is_zero:
-            if n < 0:
-                raise NotInvertibleError("series of order >= 1 has no reciprocal")
-            v = next((k for k, c in enumerate(a) if c.p), top + 1)
-            if n * v > top:
-                return TruncSeries._raw((ZERO,) * (top + 1))
-            unit = TruncSeries._raw(tuple(a[j + v] * Fraction(1, perm(j + v, v))
-                                          for j in range(top + 1 - n * v)))
-            return TruncSeries._raw((unit ** n).coeffs + (ZERO,) * (n * v)).mul_t_power(n * v)
+            raise NotInvertibleError("powers need a nonzero constant term")
         inv = a[0].inverse()
         out = [a[0] ** n]
         for m in range(1, top + 1):
@@ -138,29 +115,13 @@ class TruncSeries:
                 parts.append(f"({body})*t" if k == 1 else f"({body})/{k}!*t^{k}")
         return f"{' + '.join(parts) or '0'} (order {self.trunc})"
 
-    def __repr__(self):
-        return f"TruncSeries({self})"
-
-
-def appell_sequence(g: TruncSeries, n_max: int) -> list:
-    """First n_max+1 members of the Appell sequence attached to g.
-
-    s_n = g(t)^{-1} x^n, so the leading coefficient of s_n is 1/g(0);
-    it is 1 (monic) exactly when g has constant term 1.
-    """
-    if n_max > g.trunc:
-        raise TruncationError(
-            f"need {n_max} series coefficients, kept {g.trunc}")
-    h = g.recip().coeffs
-    return [XPoly([comb(n, m) * h[n - m] for m in range(n + 1)]) for n in range(n_max + 1)]
-
 
 def appell_expand(g: TruncSeries, p: XPoly) -> list:
     """Coefficients of p in the Appell basis of g.
 
     C_k = <g(t) t^k | p> / k!, the coefficient of x^k in g(t)p(x),
-    returned for k = 0..deg p, so that p = sum_k C_k s_k.  The zero
-    polynomial has no coefficients.
+    returned for k = 0..deg p, so that p = sum_k C_k s_k with
+    s_k = g(t)^{-1} x^k.  The zero polynomial has no coefficients.
     """
     if p.is_zero:
         return []

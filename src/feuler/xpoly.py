@@ -125,16 +125,10 @@ class XPoly:
                 base = base * base
         return out
 
-    def derivative(self, order: int = 1) -> "XPoly":
-        """order-th derivative with respect to x."""
-        if order < 0:
-            raise ValueError("negative derivative order")
+    def derivative(self) -> "XPoly":
+        """The derivative with respect to x."""
         cs = self.coeffs
-        for _ in range(order):
-            if len(cs) <= 1:
-                return XPoly._raw(())
-            cs = tuple(cs[k] * k for k in range(1, len(cs)))
-        return XPoly._raw(cs)
+        return XPoly._raw(tuple(cs[k] * k for k in range(1, len(cs))))
 
     def shift(self, a) -> "XPoly":
         """p(x + a), expanded binomially so coefficients stay canonical."""

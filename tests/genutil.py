@@ -1,9 +1,10 @@
 """Seeded random value generators shared by the test modules."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
-from feuler.scalar import LambdaPoly, LambdaRat, _parts
+from feuler.scalar import ZERO, LambdaPoly, LambdaRat, _parts, lrat
+from feuler.umbral import TruncationError, TruncSeries
 from feuler.xpoly import XPoly
 
 
@@ -33,6 +34,29 @@ def rand_lrat(rng, max_deg=2):
 def rand_xpoly(rng, max_deg=6):
     deg = rng.randint(0, max_deg)
     return XPoly([rand_lrat(rng) for _ in range(deg + 1)])
+
+
+def series(coeffs, trunc=None):
+    """The series with divided coefficients coeffs, each coerced to Q(L),
+    cut or padded with zeros to trunc + 1 of them (all kept by default)."""
+    cs = [lrat(c) for c in coeffs]
+    if trunc is None:
+        trunc = len(cs) - 1
+    cs = cs[:trunc + 1] + [ZERO] * (trunc + 1 - len(cs))
+    return TruncSeries._raw(tuple(cs))
+
+
+def appell_sequence(g, n_max):
+    """First n_max+1 members of the Appell sequence attached to g.
+
+    s_n = g(t)^{-1} x^n, so the leading coefficient of s_n is 1/g(0);
+    it is 1 (monic) exactly when g has constant term 1.
+    """
+    if n_max > g.trunc:
+        raise TruncationError(
+            f"need {n_max} series coefficients, kept {g.trunc}")
+    h = g.recip().coeffs
+    return [XPoly([comb(n, m) * h[n - m] for m in range(n + 1)]) for n in range(n_max + 1)]
 
 
 def check_canonical(v):

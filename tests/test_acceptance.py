@@ -5,6 +5,7 @@ line; the verbose pytest report gives the pass/fail verdict per
 criterion.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -12,6 +13,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb, factorial
+
+import pytest
 
 from feuler import frobenius, suite
 from feuler.cli import main, parse_poly_expr
@@ -174,7 +177,25 @@ def test_criterion_09_mutation_detected(monkeypatch):
           f"{report.totals()['mismatch']} mismatches, CLI exit {code}")
 
 
-def test_criterion_10_cli_contract():
+GRID_ARGV = ["suite", "--n-max", "12", "--r-max", "6", "--s-max", "6", "--format", "json"]
+# sha256 of the JSONL report of GRID_ARGV: the output contract's anchor
+ANCHOR = "b70e2f0bc785565f2818b8981e307dc1e664ca24d9518e96a17cb43ebb919b61"
+
+
+def _run_main(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def grid_report():
+    """Exit status and stdout of the n_max 12 grid, run once for this module."""
+    return _run_main(GRID_ARGV)
+
+
+def test_criterion_10_cli_contract(grid_report):
     rng = random.Random(suite.DEFAULT_SEED)
     count = 0
     while count < 100:
@@ -183,19 +204,56 @@ def test_criterion_10_cli_contract():
             continue
         count += 1
         assert parse_poly_expr(str(p)) == p
-    argv = ["suite", "--n-max", "12", "--r-max", "6", "--s-max", "6",
-            "--format", "json"]
-    serial = io.StringIO()
-    with redirect_stdout(serial):
-        code = main(argv)
+    code, serial = grid_report
     assert code == 0
-    parallel = io.StringIO()
-    with redirect_stdout(parallel):
-        code = main(argv + ["--jobs", "4"])
+    assert hashlib.sha256(serial.encode()).hexdigest() == ANCHOR
+    code, parallel = _run_main(GRID_ARGV + ["--jobs", "4"])
     assert code == 0
-    assert serial.getvalue() == parallel.getvalue()
-    summary = json.loads(serial.getvalue().splitlines()[-1])
+    assert serial == parallel
+    summary = json.loads(serial.splitlines()[-1])
     assert summary["total"] == 2661
     assert summary["mismatch"] == 0 and summary["skipped"] == 0
     print("criterion 10: PASS  100 expressions round-tripped, full grid "
-          "exits 0, serial and 4-way runs byte-identical")
+          "exits 0 with the anchor digest, serial and 4-way runs byte-identical")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(GRID_ARGV + ["--seed", "7"],
+                 "bf350ed1d30ad51a849b7f55fd3757a780b16aa18bc6bff284731cb69e8296de",
+                 id="seed-7"),
+    pytest.param(["suite", "--n-max", "20", "--r-max", "6", "--s-max", "6", "--format", "json"],
+                 "4cc9066e3a800a07c1381b452e5235348a16a142e279e5935af39b2014207a19",
+                 id="n-max-20"),
+])
+def test_pinned_grid_digests(argv, digest):
+    code, out = _run_main(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_values_print_back_to_themselves(grid_report):
+    # every value string of the report parses back to a value that prints
+    # the same string: str() of the constant term for a scalar, str() of the
+    # polynomial for an x-polynomial; thm5's composite right side ("route:
+    # value", joined by ";") and thm1's ";"-joined coefficient lists are not
+    # single values
+    _, out = grid_report
+    cells = [json.loads(line) for line in out.splitlines()[:-1]]
+    values = {}
+
+    def value(text):
+        if text not in values:
+            v = parse_poly_expr(text)
+            assert (str(v) if "x" in text else str(v.coeff(0))) == text
+            values[text] = v
+        return values[text]
+
+    for cell in cells:
+        sides = cell["lhs"], cell["rhs"]
+        if any(";" in t or ":" in t for t in sides):
+            continue
+        lhs, rhs = map(value, sides)
+        if cell["status"] == "equal":
+            assert lhs == rhs, cell
+    assert len(values) == 486
+    print(f"report printer: PASS  {len(values)} distinct value strings print back")

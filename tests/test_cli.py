@@ -452,6 +452,11 @@ def test_cli_verify_roundtrip_seeded():
         (("numbers", "--lambda=--"), "'--' is not an option value"),
         (("numbers", "--format=--"), "'--' is not an option value"),
         (("suite", "--n-max=--"), "'--' is not an option value"),
+        # each used to read as 12, 3 and 7: int() takes any Unicode decimal digit,
+        # and feuler's integers are the ASCII digits 0-9
+        (("convert", "--poly", "\u0661\u0662"), "unexpected character '\u0661' at position 0"),
+        (("numbers", "--n-max", "\u0663"), "--n-max: invalid int value"),
+        (("suite", "--seed", "\u0667"), "--seed: invalid int value"),
     )])
 def test_cli_out_of_domain_exits_2(argv, message):
     code, out, err = run_cli(*argv)

@@ -209,7 +209,7 @@ def _bump_polynomial_at(at):
 
 
 def _bump_derivative(orig):
-    return lambda self, order=1: orig(self, order) + ONE
+    return lambda self: orig(self) + ONE
 
 
 def _bump_value(orig):
@@ -374,3 +374,31 @@ def test_split_sums_match_the_termwise_sum():
         for r in range(-2, 7):
             for s in range(7):
                 assert suite._split_sum_polys(n, r, s) == _split_sum_polys_termwise(n, r, s)
+
+
+def _sweep_cells():
+    # past the grid, which runs r >= 0 only and stops at r_max 6: thm2 and
+    # eq15, declared for every integer r, at negative r; the identities
+    # declared for r >= 0 or r >= 1 at r = 7..10
+    for r in range(-6, 0):
+        for n in range(13):
+            for s in range(7):
+                yield verify_thm2(n, r, s)
+            for k in range(13):
+                yield verify_eq15_duality(n, k, r)
+    for r in (-50, -200, -1000):
+        for n in range(41):
+            yield verify_thm2(n, r, 7)
+            yield verify_eq15_duality(n, n, r)
+    for ident in sorted(i for i, (least, _) in IDENTITIES.items() if least.get("r") is not None):
+        for r in range(7, 11):
+            for n in range(13):
+                yield getattr(suite, "verify_" + ident)(n=n, r=r)
+
+
+def test_declared_domains_hold_past_the_grid(cold_caches):
+    cells = list(_sweep_cells())
+    assert {c.identity for c in cells} == {"thm2", "eq15_duality", "cor3", "cor4", "remark",
+                                           "thm5", "thm6"}
+    assert len(cells) == 1560 + 2 * 3 * 41 + 5 * 4 * 13
+    assert [c for c in cells if c.status != "equal"] == []
