@@ -117,6 +117,18 @@ def j_lambda(p: XPoly, s: int = 1) -> XPoly:
                            for k in range(len(cs))])
 
 
+@lru_cache(maxsize=None)
+def _j_at_zero(m: int, r: int) -> LambdaRat:
+    """(J H_m^{(r)})(0) = (H_m^{(r)}(1) - L H_m^{(r)}(0))/(1 - L), read off the
+    order-r polynomial; fe_poly is looked up by name when it runs.
+
+    J H_n^{(r)} is an Appell sequence, so its x^k coefficient is
+    C(n, k) _j_at_zero(n - k, r).
+    """
+    p = fe_poly(m, r)
+    return (p.evaluate(1) - LAMBDA * p.coeffs[0]) * _INV
+
+
 def delta_pow_at_zero(n: int, k: int) -> LambdaRat:
     """k-th power of the difference p(x) -> p(x+1) - L p(x), on x^n, at 0."""
     # integer coefficients in L of sum_j C(k,j)(-L)^{k-j} j^n, with 0^0 = 1:
@@ -181,7 +193,7 @@ def _split_sum_numbers(n: int, r: int, s: int) -> LambdaRat:
 # held here, not looked up by name, so that clear_caches reaches the caches
 # even when a module attribute has been rebound to a wrapper; the last two
 # are scalar's memos of the rows of (1 - L)^e and of common denominators
-_MEMOS = (_rows, fe_poly, _longest_series, lowering_coeff, _split_sum_numbers,
+_MEMOS = (_rows, fe_poly, _longest_series, _j_at_zero, lowering_coeff, _split_sum_numbers,
           _one_minus_l_pow, _common_den)
 
 

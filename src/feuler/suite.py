@@ -30,7 +30,8 @@ by one integer recurrence for the numerators over powers of (1 - L).
     remark          Stirling closed form | weights times order-1 numbers
     eq15_duality    TruncSeries powering on the order-r table | n! delta_{n,k}
     eq12_ladder     derivative of the order-r table | n times the order-r table
-    eq22_ladder     J from the order -1 row on the order-r table | order r - 1 table
+    eq22_ladder     (J H_m^{(r)})(0) from the order-r polynomials at 1 and 0, scaled by
+                    C(n, k) | order r - 1 table
     thm1_roundtrip  J^r p from the order -r row, one dot per coefficient | appell_expand
                     on TruncSeries powering, then order-r tables recombined | p
 """
@@ -44,7 +45,7 @@ from itertools import product
 from math import comb, factorial
 
 from . import frobenius
-from .frobenius import (_split_sum_numbers, fe_poly, fe_series, from_fe_basis, j_lambda,
+from .frobenius import (_j_at_zero, _split_sum_numbers, fe_poly, fe_series, from_fe_basis,
                         to_fe_basis)
 from .scalar import LAMBDA, ONE, LambdaRat, lrat
 from .umbral import appell_expand
@@ -100,7 +101,7 @@ class Cell(namedtuple("Cell", "identity params status lhs rhs")):
 
     def to_json(self) -> str:
         """One JSONL report line."""
-        return _json_text(dict(zip(REPORT_FIELDS, self.report_row())))
+        return next(_json_lines([self.report_row()]))
 
     def csv_row(self) -> tuple:
         """One CSV report line: report_row() with the parameters as JSON text."""
@@ -109,6 +110,33 @@ class Cell(namedtuple("Cell", "identity params status lhs rhs")):
 
 
 REPORT_FIELDS = Cell._fields + ("elapsed_us",)
+
+
+def _json_lines(rows):
+    """Yield json.dumps(dict(zip(REPORT_FIELDS, row))) for each row, written directly.
+
+    Every string is quoted by the function json.dumps itself quotes with
+    (ensure_ascii), so the bytes are the same; a side that is the other
+    side's string object, as _finish makes an equal cell's, is quoted once.
+    The parameters and elapsed_us are ints.
+    """
+    # imported here so that plain and LaTeX output do not load json
+    from json.encoder import encode_basestring_ascii as quote
+    keys = [quote(name) + ": " for name in REPORT_FIELDS]
+    for row in rows:
+        items = []
+        last = None
+        for key, v in zip(keys, row):
+            if v.__class__ is str:
+                if v is not last:
+                    last, quoted = v, quote(v)
+                items.append(key + quoted)
+            elif v.__class__ is dict:
+                items.append(key + "{" + ", ".join([quote(k) + ": " + int.__repr__(x)
+                                                    for k, x in v.items()]) + "}")
+            else:
+                items.append(key + int.__repr__(v))
+        yield "{" + ", ".join(items) + "}"
 
 
 def _finish(identity, params, lhs, rhs) -> Cell:
@@ -193,7 +221,8 @@ def verify_eq12_ladder(n: int, r: int) -> Cell:
 
 def verify_eq22_ladder(n: int, r: int) -> Cell:
     """J H_n^{(r)} = H_n^{(r-1)}."""
-    lhs = j_lambda(fe_poly(n, r))
+    # J H_n^{(r)} is an Appell sequence: its x^k coefficient is C(n,k) (J H_{n-k}^{(r)})(0)
+    lhs = XPoly._trimmed([comb(n, k) * _j_at_zero(n - k, r) for k in range(n + 1)])
     rhs = fe_poly(n, r - 1)
     return _finish("eq22_ladder", {"n": n, "r": r}, lhs, rhs)
 
@@ -269,7 +298,7 @@ class VerificationReport(namedtuple("VerificationReport", "cells grid")):
         return self.totals()["mismatch"] == 0
 
     def to_jsonl(self) -> str:
-        lines = [c.to_json() for c in self.cells]
+        lines = list(_json_lines(c.report_row() for c in self.cells))
         summary = dict(self.totals())
         summary["grid"] = {k: self.grid[k] for k in sorted(self.grid)}
         lines.append(_json_text(summary))

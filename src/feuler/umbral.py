@@ -40,6 +40,10 @@ class TruncSeries:
 
     __slots__ = ("coeffs",)
 
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("TruncSeries has no public constructor: "
+                        "series come from fe_series and TruncSeries.one")
+
     @classmethod
     def _raw(cls, coeffs: tuple) -> "TruncSeries":
         # trusted: a nonempty tuple of LambdaRat, one per kept degree

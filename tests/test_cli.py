@@ -653,6 +653,7 @@ def test_cli_suite_builds_no_json_for_plain_or_latex(monkeypatch, fmt):
         raise AssertionError(f"JSON text built for --format {fmt}")
 
     monkeypatch.setattr(suite, "_json_text", no_json)
+    monkeypatch.setattr(suite, "_json_lines", no_json)
     code, out, _ = run_cli("suite", "--n-max", "2", "--r-max", "1",
                            "--s-max", "1", "--format", fmt)
     assert code == 0 and out

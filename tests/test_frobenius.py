@@ -285,6 +285,16 @@ def test_j_ladder_connects_orders():
             assert j_lambda(X ** n, r) == fe_poly(n, -r)
 
 
+def test_j_at_zero_is_the_constant_term_of_j():
+    # the numbers eq22 reads: J H_m^{(r)} at 0, against the shift operator
+    # applied to the polynomial and against j_lambda on the rows of order -1
+    for r in (-40, -3, -1, 0, 1, 2, 5, 40):
+        for m in range(9):
+            p = fe_poly(m, r)
+            assert frobenius._j_at_zero(m, r) == one_step_j(p).coeff(0), (m, r)
+            assert frobenius._j_at_zero(m, r) == j_lambda(p).coeff(0), (m, r)
+
+
 def test_duality_pairing():
     for r in (1, 2):
         g = fe_series(r, 5)
@@ -550,7 +560,7 @@ def test_clear_caches_empties_every_memo():
         # the last is a sum over two distinct r, 1 + L and 2 - L
         return (fe_numbers(6, 3), fe_poly(6, 2), fe_numbers(6, -2), stirling_lambda(6, 3),
                 lowering_coeff(3, 5), fe_series(2, 6).coeffs, frobenius._split_sum_numbers(4, 2, 1),
-                LambdaRat(1, [1, 1]) + LambdaRat(1, [2, -1]))
+                frobenius._j_at_zero(5, 3), LambdaRat(1, [1, 1]) + LambdaRat(1, [2, -1]))
 
     before = values()
     # a memoized polynomial is the same object on every call

@@ -113,6 +113,34 @@ def test_report_serialization_round_trip():
     assert list(first) == ["identity", "params", "status", "lhs", "rhs", "elapsed_us"]
 
 
+def test_report_lines_are_the_bytes_of_json_dumps():
+    # the report's JSON lines are written without json.dumps: any side text,
+    # one string object for both sides or two, and any int parameters
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    special = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\xe9", "\u221a",
+                               "\u2028", "\u2029", "\ud800", "\udfff", "\U0001f600", "/"])
+    texts = st.lists(st.one_of(special, st.integers(0, 0x10FFFF).map(chr)),
+                     max_size=12).map("".join)
+    ints = st.one_of(st.integers(), st.integers(-10**60, 10**60))
+    cells = st.builds(lambda ident, params, status, lhs, rhs, shared:
+                      Cell(ident, params, status, lhs, lhs if shared else rhs),
+                      texts, st.dictionaries(texts, ints, max_size=4),
+                      st.sampled_from(["equal", "mismatch", "skipped"]), texts, texts,
+                      st.booleans())
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.lists(cells, min_size=1, max_size=3))
+    def check(drawn):
+        want = [json.dumps(dict(zip(suite.REPORT_FIELDS, c.report_row()))) for c in drawn]
+        assert [c.to_json() for c in drawn] == want
+        grid = {"n_max": 1, "r_max": 1, "s_max": 1}
+        assert suite.VerificationReport(drawn, grid).to_jsonl().split("\n")[:-2] == want
+
+    check()
+
+
 def test_parallel_run_is_byte_identical():
     serial = run_suite(3, 2, 2, jobs=1).to_jsonl()
     parallel = run_suite(3, 2, 2, jobs=2).to_jsonl()
@@ -252,14 +280,15 @@ def _drop_weights_divisible_by_seven(orig):
 
 
 ROUTE_ROWS = [
-    # J reads the order -1 row in eq22 and J^r the order -r row in thm1
+    # J^r reads the order -r row in thm1; eq22's J reads the order-r polynomials
     pytest.param(frobenius, "fe_numbers", _bump_number_at((1, -1)),
-                 {"thm1_roundtrip", "eq22_ladder"}, id="J-rows-of-order-minus-one"),
+                 {"thm1_roundtrip"}, id="J-rows-of-order-minus-one"),
     pytest.param(TruncSeries, "__pow__", _bump_series_coefficient,
                  {"thm1_roundtrip", "eq15_duality"}, id="TruncSeries-powering"),
-    # from_fe_basis reads frobenius.fe_poly; the suite imports its own binding
+    # from_fe_basis and eq22's J at 0 read frobenius.fe_poly; the suite
+    # imports its own binding
     pytest.param(frobenius, "fe_poly", _bump_polynomial_at((1, 1)),
-                 {"thm1_roundtrip"}, id="recombination-tables"),
+                 {"eq22_ladder", "thm1_roundtrip"}, id="recombination-tables"),
     pytest.param(suite, "fe_poly", _bump_polynomial_at((3, 2)),
                  {"eq12_ladder", "eq15_duality", "eq22_ladder", "thm2"}, id="suite-tables"),
     # the order-1 table is cor3's left side
@@ -268,6 +297,9 @@ ROUTE_ROWS = [
                  id="suite-order-one-table"),
     pytest.param(XPoly, "derivative", _bump_derivative,
                  {"eq12_ladder"}, id="XPoly-derivative"),
+    # eq22's J at 0 reads H_m^{(r)}(1); to_fe_basis reads coefficients, not values
+    pytest.param(XPoly, "evaluate", _bump_value,
+                 {"eq22_ladder"}, id="XPoly-evaluate"),
     pytest.param(frobenius, "lowering_coeff", _bump_weights_at_two_steps,
                  {"thm2", "cor3", "cor4", "thm5", "remark"}, id="split-sum-weights"),
     # remark reads the order-1 row
@@ -287,17 +319,15 @@ ROUTE_ROWS = [
 
 # Blocks that no identity reaches, with the reason; their unit tests cover them.
 UNCOVERED = [
-    pytest.param(XPoly, "evaluate", _bump_value,
-                 id="XPoly-evaluate: to_fe_basis reads the coefficients of p, not its values"),
     pytest.param(TruncSeries, "recip", _bump_series_coefficient,
                  id="TruncSeries-recip: no identity in the grid takes a negative series power"),
-    # j_lambda, the one J of eq22 and of thm1's to_fe_basis, reads the rows of
-    # the opposite order and shifts no polynomial
+    # j_lambda, the one J^r of thm1's to_fe_basis, reads the rows of the
+    # opposite order, and eq22's J at 0 the values at 1; neither shifts a polynomial
     pytest.param(XPoly, "shift", _bump_shift_by(1),
                  id="XPoly-shift-by-one: j_lambda shifts nothing"),
     pytest.param(XPoly, "shift", _bump_shift_by(3),
-                 id="XPoly-shift-by-three: the grid applies J once (eq22) and J^r (thm1), each "
-                    "from the rows of order -1 and -r, not by shifts"),
+                 id="XPoly-shift-by-three: the grid applies J once (eq22), from the values at 1, "
+                    "and J^r (thm1), from the rows of order -r, not by shifts"),
 ]
 
 
@@ -367,6 +397,13 @@ def _split_sum_polys_termwise(n, r, s):
              for l in range(n + 1)]
     return XPoly._trimmed([dot((c, w, h[m]) for c, w, h in terms[:n - m + 1])
                            for m in range(n + 1)])
+
+
+def test_eq22_left_side_is_j_of_the_table():
+    # the Appell sum of J at 0 against j_lambda on the rows of order -1
+    for r in (-40, -2, 0, 1, 3, 40):
+        for n in range(13):
+            assert verify_eq22_ladder(n, r).lhs == str(frobenius.j_lambda(frobenius.fe_poly(n, r)))
 
 
 def test_split_sums_match_the_termwise_sum():

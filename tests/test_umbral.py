@@ -300,3 +300,5 @@ def test_series_come_from_the_library_alone():
         TruncSeries([1, 2])
     with pytest.raises(TypeError):
         TruncSeries([1, 2], 3)
+    with pytest.raises(TypeError):
+        TruncSeries()
