@@ -19,13 +19,15 @@ MAX_BITS bits; past any limit the parse fails.  Each limit on a power
 or a product is checked before it is taken.
 
 Every command writes its output through ``_write``, the one reader of
-``--format``; the fields of a verification cell's report line are those
+``--format`` and the one place that renders output text; the fields of a verification cell's report line are those
 of ``suite.Cell.report_row``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -40,8 +42,8 @@ MAX_DEGREE = 1000  # powers in x and L; convert --order; stirling --n/--k; verif
 MAX_BITS = 10000  # of a parsed coefficient's integers; str() of an int fails past 4300 digits
 MAX_OUT_BITS = 14284  # of a value's integers at --lambda: 2^14284 < 10^4300, str()'s limit
 MAX_INDEX = 9999  # verify's thm1_roundtrip --index: each earlier input is drawn first
-MAX_ROW = 400  # numbers' --n-max and poly's --n: about 2 s and 50 MB of output at the cap
-MAX_ORDER = 10 ** 6  # numbers' and poly's --order, either sign: about 5 s at --n-max 400
+MAX_ROW = 400  # numbers' --n-max and poly's --n: under 1 s and 50 MB of output at the cap
+MAX_ORDER = 10 ** 6  # numbers' and poly's --order, either sign: about 3 s at --n-max 400
 MAX_CELL_N = 150  # verify's --n: thm2 --n 150 --r 6 --s 3 takes about 1 s and prints 4.6 MB
 MAX_JOBS = 64  # suite's --jobs: the process pool starts all its workers at once
 
@@ -54,32 +56,20 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
+# optional whitespace, then an int, an operator or letter, or any other character
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([-+*/^()xL])|(\S))")
+
+
 def _tokenize(text: str) -> list:
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch in ("x", "L"):
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
+    # the scan ends where trailing whitespace begins: from each start in it the
+    # pattern fails only at the end, which would take time quadratic in its length
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        num, op, bad = m.groups()
+        if bad:
+            raise PolyParseError(f"unexpected character {bad!r}", m.start(3))
+        toks.append(("int", num, m.start(1)) if num else (op, op, m.start(2)))
+    toks.append(("end", "", len(text)))
     return toks
 
 
@@ -297,29 +287,36 @@ def _at_lambda(values, lam: Fraction) -> list:
                           f"{MAX_OUT_BITS} bits")
 
 
-def _write(args, header, rows, latex, json_text, plain=None) -> None:
-    """Print a command's output in args.format, the one place that reads it.
+def _write(args, header, rows, latex, json_lines, plain=None) -> None:
+    """Print a command's output in args.format, the one place that reads it,
+    rendering only that format, a line at a time.
 
-    CSV is header then rows, LaTeX the given lines, and JSON the text that
-    json_text() returns, its last newline included, built only for JSON.
-    Plain is the given lines, or else each row joined by tabs.
+    CSV is header then rows, LaTeX the given lines, and JSON the lines that
+    json_lines() yields.  Plain is str() of each given line, or else each
+    row's values joined by tabs.  A reader that closes stdout ends the output
+    quietly, and the command keeps its own exit status.
     """
-    if args.format == "csv":
-        import csv  # imported here so that only CSV output loads csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    if args.format == "json":
-        sys.stdout.write(json_text())
-        return
-    if args.format == "latex":
-        lines = latex
-    elif plain is None:
-        lines = ("\t".join(map(str, row)) for row in rows)
-    else:
-        lines = plain
-    sys.stdout.write("\n".join(lines) + "\n")
+    try:
+        if args.format == "csv":
+            import csv  # imported here so that only CSV output loads csv
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            if args.format == "json":
+                lines = json_lines()
+            elif args.format == "latex":
+                lines = latex
+            elif plain is None:
+                lines = ("\t".join(map(str, row)) for row in rows)
+            else:
+                lines = map(str, plain)
+            lines = iter(lines)  # each ends in a newline, and no lines print one empty line
+            sys.stdout.write(next(lines, "") + "\n")
+            sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed: what is still buffered goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_numbers(args) -> int:
@@ -329,10 +326,9 @@ def _cmd_numbers(args) -> int:
     if args.lam is not None:
         values = _at_lambda(values, args.lam)
         at = ""
-    latex = [f"H_{{{n}}}^{{({r})}}{at} = {latex_lrat(v)} \\\\" for n, v in enumerate(values)]
-    rows = [(n, str(v)) for n, v in enumerate(values)]
-    obj = {"order": r, "values": [{"n": n, "value": s} for n, s in rows]}
-    _write(args, ("n", "value"), rows, latex, lambda: suite_mod._json_text(obj) + "\n")
+    latex = (f"H_{{{n}}}^{{({r})}}{at} = {latex_lrat(v)} \\\\" for n, v in enumerate(values))
+    _write(args, ("n", "value"), enumerate(values), latex, lambda: [suite_mod._json_text(
+        {"order": r, "values": [{"n": n, "value": str(v)} for n, v in enumerate(values)]})])
     return 0
 
 
@@ -340,10 +336,11 @@ def _cmd_poly(args) -> int:
     p = frobenius.fe_poly(args.n, args.order)
     if args.lam is not None:
         p = XPoly(_at_lambda(p.coeffs, args.lam))
-    latex = f"H_{{{args.n}}}^{{({args.order})}}(x\\mid\\lambda) = {latex_xpoly(p)}"
-    header, row = ("n", "order", "poly"), (args.n, args.order, str(p))
-    _write(args, header, [row], [latex],
-           lambda: suite_mod._json_text(dict(zip(header, row))) + "\n", [row[-1]])
+    head = f"H_{{{args.n}}}^{{({args.order})}}(x\\mid\\lambda) = "
+    _write(args, ("n", "order", "poly"), [(args.n, args.order, p)],
+           (head + latex_xpoly(q) for q in [p]),
+           lambda: [suite_mod._json_text({"n": args.n, "order": args.order, "poly": str(p)})],
+           [p])
     return 0
 
 
@@ -353,11 +350,10 @@ def _cmd_convert(args) -> int:
     coeffs = list(e.coefficients)
     if args.lam is not None:
         coeffs = _at_lambda(coeffs, args.lam)
-    latex = [f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs)]
-    rows = [(k, str(c)) for k, c in enumerate(coeffs)]
-    obj = {"order": args.order, "poly": str(p),
-           "coefficients": [{"k": k, "value": s} for k, s in rows]}
-    _write(args, ("k", "value"), rows, latex, lambda: suite_mod._json_text(obj) + "\n")
+    latex = (f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs))
+    _write(args, ("k", "value"), enumerate(coeffs), latex, lambda: [suite_mod._json_text(
+        {"order": args.order, "poly": str(p),
+         "coefficients": [{"k": k, "value": str(c)} for k, c in enumerate(coeffs)]})])
     return 0
 
 
@@ -365,10 +361,9 @@ def _cmd_stirling(args) -> int:
     v = frobenius.stirling_lambda(args.n, args.k)
     if args.lam is not None:
         [v] = _at_lambda([v], args.lam)
-    latex = f"S_{{\\lambda}}({args.n},{args.k}) = {latex_lrat(v)}"
-    header, row = ("n", "k", "value"), (args.n, args.k, str(v))
-    _write(args, header, [row], [latex],
-           lambda: suite_mod._json_text(dict(zip(header, row))) + "\n", [row[-1]])
+    head = f"S_{{\\lambda}}({args.n},{args.k}) = "
+    _write(args, ("n", "k", "value"), [(args.n, args.k, v)], (head + latex_lrat(w) for w in [v]),
+           lambda: [suite_mod._json_text({"n": args.n, "k": args.k, "value": str(v)})], [v])
     return 0
 
 
@@ -388,8 +383,8 @@ def _cmd_verify(args) -> int:
     latex = [f"\\texttt{{{cell.identity}}}({', '.join(ps)}): \\textbf{{{cell.status}}} \\\\"]
     plain = [f"{cell.identity} {' '.join(ps)} {cell.status}", f"lhs: {cell.lhs}",
              f"rhs: {cell.rhs}"]
-    _write(args, suite_mod.REPORT_FIELDS, [cell.csv_row()], latex,
-           lambda: cell.to_json() + "\n", plain)
+    _write(args, suite_mod.REPORT_FIELDS, (c.csv_row() for c in [cell]), latex,
+           lambda: [cell.to_json()], plain)
     return 0 if cell.status != "mismatch" else 1
 
 
@@ -404,7 +399,7 @@ def _cmd_suite(args) -> int:
     plain = [f"{name}: {t['total']} cells, {t['equal']} equal, {t['mismatch']} mismatch, "
              f"{t['skipped']} skipped" for name, t in dict(tallies, total=report.totals()).items()]
     _write(args, suite_mod.REPORT_FIELDS, (c.csv_row() for c in report.cells), latex,
-           report.to_jsonl, plain)
+           report.json_lines, plain)
     return 0 if report.ok else 1
 
 

@@ -297,12 +297,15 @@ class VerificationReport(namedtuple("VerificationReport", "cells grid")):
     def ok(self) -> bool:
         return self.totals()["mismatch"] == 0
 
-    def to_jsonl(self) -> str:
-        lines = list(_json_lines(c.report_row() for c in self.cells))
+    def json_lines(self):
+        """Yield the JSONL report a line at a time: each cell's, then the summary."""
+        yield from _json_lines(c.report_row() for c in self.cells)
         summary = dict(self.totals())
         summary["grid"] = {k: self.grid[k] for k in sorted(self.grid)}
-        lines.append(_json_text(summary))
-        return "\n".join(lines) + "\n"
+        yield _json_text(summary)
+
+    def to_jsonl(self) -> str:
+        return "\n".join(self.json_lines()) + "\n"
 
 
 def _plan(n_max: int, r_max: int, s_max: int, seed: int):

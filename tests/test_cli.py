@@ -3,9 +3,11 @@
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
@@ -28,7 +30,7 @@ from feuler.cli import (
     main,
     parse_poly_expr,
 )
-from feuler.scalar import LAMBDA, ONE, lrat
+from feuler.scalar import LAMBDA, ONE, LambdaRat, lrat
 from feuler.xpoly import X, XPoly
 
 from genutil import rand_xpoly
@@ -94,12 +96,26 @@ def test_parse_error_positions():
         ("x $ 2", 2),
         ("x + ) ", 4),
         ("1/x", 1),
+        ("x +\t", 4),
+        ("x\x0b$", 2),
+        ("\xa0x\xa0+", 4),
+        ("x\u2028^\u2028x", 4),
+        ("x + \ud800", 4),
+        ("(x + 1  ", 8),
     ]
     for text, pos in cases:
         with pytest.raises(PolyParseError) as exc:
             parse_poly_expr(text)
         assert exc.value.pos == pos, text
         assert f"position {pos}" in str(exc.value)
+
+
+def test_parse_time_is_linear_in_trailing_whitespace():
+    # a scan that restarted at each whitespace character would take minutes here
+    text = "x" + " " * 100_000
+    t0 = time.perf_counter()
+    assert parse_poly_expr(text) == X
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_parse_trailing_garbage():
@@ -647,16 +663,92 @@ def test_cli_suite_parallel_same_bytes():
     assert serial == parallel
 
 
+# one small call of each command
+EVERY_COMMAND = [
+    ("numbers", "--n-max", "3", "--order", "2"),
+    ("poly", "--n", "3", "--order", "2"),
+    ("convert", "--poly", "(x+L)^3/(2-L)-x/3", "--order", "2"),
+    ("stirling", "--n", "5", "--k", "2"),
+    ("verify", "--identity", "thm2", "--n", "3", "--r", "2", "--s", "1"),
+    ("suite", "--n-max", "2", "--r-max", "1", "--s-max", "1"),
+]
+
+
 @pytest.mark.parametrize("fmt", ["plain", "latex"])
 def test_cli_suite_builds_no_json_for_plain_or_latex(monkeypatch, fmt):
+    # every command, suite among them: plain and LaTeX output build no JSON text
     def no_json(obj):
         raise AssertionError(f"JSON text built for --format {fmt}")
 
     monkeypatch.setattr(suite, "_json_text", no_json)
     monkeypatch.setattr(suite, "_json_lines", no_json)
-    code, out, _ = run_cli("suite", "--n-max", "2", "--r-max", "1",
-                           "--s-max", "1", "--format", fmt)
-    assert code == 0 and out
+    for argv in EVERY_COMMAND:
+        code, out, _ = run_cli(*argv, "--format", fmt)
+        assert code == 0 and out, argv
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex", "csv", "json"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND[:4], ids=lambda argv: argv[0])
+def test_cli_renders_only_the_format_asked(monkeypatch, argv, fmt):
+    # LaTeX reads no str() of a value, and the other formats no LaTeX
+    def refuse(*_):
+        raise AssertionError(f"another format rendered for --format {fmt}")
+
+    if fmt == "latex":
+        monkeypatch.setattr(LambdaRat, "__str__", refuse)
+        monkeypatch.setattr(XPoly, "__str__", refuse)
+    else:
+        monkeypatch.setattr(cli, "latex_lrat", refuse)
+        monkeypatch.setattr(cli, "latex_xpoly", refuse)
+    code, out, err = run_cli(*argv, "--format", fmt)
+    assert (code, err) == (0, "") and out, argv
+
+
+def test_cli_suite_json_peaks_near_plain():
+    # the JSON report is written a line at a time, so it holds little more than
+    # the cells, which plain output holds too; a small grid in each format
+    # first makes what a first run allocates once (imports, say) count in neither
+    def run(fmt, n_max):
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            assert main(["suite", "--n-max", n_max, "--format", fmt]) == 0
+
+    def peak(fmt):
+        frobenius.clear_caches()
+        tracemalloc.start()
+        try:
+            run(fmt, "12")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run("plain", "1")
+    run("json", "1")
+    as_json, plain = peak("json"), peak("plain")
+    assert as_json <= 1.25 * plain, (as_json, plain)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ("suite", "--n-max", "12", "--r-max", "6", "--s-max", "6", "--format", "csv"),
+    ("suite", "--n-max", "12", "--r-max", "6", "--s-max", "6", "--format", "json"),
+    ("numbers", "--n-max", "150", "--order", "3"),
+], ids=["suite-csv", "suite-json", "numbers-plain"])
+def test_cli_closed_stdout_ends_quietly(argv, unbuffered):
+    # the reader takes 10 bytes and closes the pipe, as `| head -c 10` does;
+    # each output is larger than a pipe holds, so the writer sees it closed,
+    # in a flush of a full buffer or, unbuffered, in a write of one line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    flags = ["-u"] if unbuffered else []
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "feuler", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert len(head) == 10 and b"Traceback" not in err
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_cli_suite_csv_has_cells():
