@@ -17,16 +17,13 @@ from .frobenius import (
     surjection_sum,
     to_fe_basis,
 )
-from .suite import (
-    DEFAULT_SEED,
-    IDENTITY_IDS,
-    Cell,
-    VerificationReport,
-    run_suite,
-)
-from .cli import PolyParseError, parse_poly_expr
 
 __version__ = "0.1.0"
+
+# names of the verification suite and of the command line, imported on first
+# access (PEP 562), so that `import feuler` loads the algebra alone
+_SUITE_NAMES = ("DEFAULT_SEED", "IDENTITY_IDS", "Cell", "VerificationReport", "run_suite")
+_CLI_NAMES = ("PolyParseError", "parse_poly_expr")
 
 __all__ = [
     "LAMBDA",
@@ -55,12 +52,23 @@ __all__ = [
     "stirling_lambda",
     "surjection_sum",
     "to_fe_basis",
-    "DEFAULT_SEED",
-    "IDENTITY_IDS",
-    "Cell",
-    "VerificationReport",
-    "run_suite",
-    "PolyParseError",
-    "parse_poly_expr",
+    *_SUITE_NAMES,
+    *_CLI_NAMES,
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # any other name, the submodules cli and suite among them, is missing, so
+    # `from feuler import cli` imports the submodule
+    if name in _SUITE_NAMES:
+        from . import suite as module
+    elif name in _CLI_NAMES:
+        from . import cli as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_SUITE_NAMES, *_CLI_NAMES})

@@ -20,7 +20,9 @@ or a product is checked before it is taken.
 
 Every command writes its output through ``_write``, the one reader of
 ``--format`` and the one place that renders output text; the fields of a verification cell's report line are those
-of ``suite.Cell.report_row``.
+of ``suite.Cell.report_row``.  Only ``verify`` and ``suite`` import ``suite``:
+its identity names and default seed are read when one of them, or its help
+or usage error, needs them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import frobenius, suite as suite_mod
+from . import frobenius
 from .scalar import LAMBDA, ONE, PoleError, _render, lrat
 from .xpoly import X, XPoly
 
@@ -242,10 +244,17 @@ def latex_xpoly(p: XPoly) -> str:
 
 # ---------------------------------------------------------------------------
 
+# what --lambda reads: Fraction() would also take exponents, '_', spaces and
+# non-ASCII digits, and build 10^n for '1en' before any cap is checked
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(text)
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # not P/Q, past int()'s digits, or Q = 0
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
     if value == 1:
         raise argparse.ArgumentTypeError("lambda = 1 is outside the field")
@@ -285,6 +294,11 @@ def _at_lambda(values, lam: Fraction) -> list:
             return out
     raise TooLargeToPrint(f"a value at this lambda would print an integer of more than "
                           f"{MAX_OUT_BITS} bits")
+
+
+def _json_text(obj) -> str:
+    import json  # imported here so that only JSON output loads json
+    return json.dumps(obj)
 
 
 def _write(args, header, rows, latex, json_lines, plain=None) -> None:
@@ -327,7 +341,7 @@ def _cmd_numbers(args) -> int:
         values = _at_lambda(values, args.lam)
         at = ""
     latex = (f"H_{{{n}}}^{{({r})}}{at} = {latex_lrat(v)} \\\\" for n, v in enumerate(values))
-    _write(args, ("n", "value"), enumerate(values), latex, lambda: [suite_mod._json_text(
+    _write(args, ("n", "value"), enumerate(values), latex, lambda: [_json_text(
         {"order": r, "values": [{"n": n, "value": str(v)} for n, v in enumerate(values)]})])
     return 0
 
@@ -339,7 +353,7 @@ def _cmd_poly(args) -> int:
     head = f"H_{{{args.n}}}^{{({args.order})}}(x\\mid\\lambda) = "
     _write(args, ("n", "order", "poly"), [(args.n, args.order, p)],
            (head + latex_xpoly(q) for q in [p]),
-           lambda: [suite_mod._json_text({"n": args.n, "order": args.order, "poly": str(p)})],
+           lambda: [_json_text({"n": args.n, "order": args.order, "poly": str(p)})],
            [p])
     return 0
 
@@ -351,7 +365,7 @@ def _cmd_convert(args) -> int:
     if args.lam is not None:
         coeffs = _at_lambda(coeffs, args.lam)
     latex = (f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs))
-    _write(args, ("k", "value"), enumerate(coeffs), latex, lambda: [suite_mod._json_text(
+    _write(args, ("k", "value"), enumerate(coeffs), latex, lambda: [_json_text(
         {"order": args.order, "poly": str(p),
          "coefficients": [{"k": k, "value": str(c)} for k, c in enumerate(coeffs)]})])
     return 0
@@ -363,11 +377,12 @@ def _cmd_stirling(args) -> int:
         [v] = _at_lambda([v], args.lam)
     head = f"S_{{\\lambda}}({args.n},{args.k}) = "
     _write(args, ("n", "k", "value"), [(args.n, args.k, v)], (head + latex_lrat(w) for w in [v]),
-           lambda: [suite_mod._json_text({"n": args.n, "k": args.k, "value": str(v)})], [v])
+           lambda: [_json_text({"n": args.n, "k": args.k, "value": str(v)})], [v])
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import suite as suite_mod
     least, _ = suite_mod.IDENTITIES[args.identity]
     values = {name: getattr(args, name) for name in least}
     unmet = [f"--{name}" for name, v in values.items() if v is None] or [
@@ -376,7 +391,8 @@ def _cmd_verify(args) -> int:
         sys.stderr.write(f"error: {args.identity} needs {', '.join(unmet)}\n")
         return 2
     if args.identity == "thm1_roundtrip":
-        draws = suite_mod.roundtrip_inputs(args.seed, args.index + 1)
+        seed = suite_mod.DEFAULT_SEED if args.seed is None else args.seed
+        draws = suite_mod.roundtrip_inputs(seed, args.index + 1)
         values["p"], values["r"] = next(islice(draws, args.index, None))
     cell = getattr(suite_mod, "verify_" + args.identity)(**values)
     ps = [f"{k}={v}" for k, v in sorted(cell.params.items())]
@@ -389,8 +405,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    report = suite_mod.run_suite(args.n_max, args.r_max, args.s_max,
-                                 seed=args.seed, jobs=args.jobs)
+    from . import suite as suite_mod
+    seed = suite_mod.DEFAULT_SEED if args.seed is None else args.seed
+    report = suite_mod.run_suite(args.n_max, args.r_max, args.s_max, seed=seed, jobs=args.jobs)
     tallies = report.tallies()
     latex = ["\\begin{tabular}{lrrrr}", "identity & cells & equal & mismatch & skipped \\\\",
              *(f"{ident.replace('_', chr(92) + '_')} & {t['total']} & {t['equal']} & "
@@ -401,6 +418,18 @@ def _cmd_suite(args) -> int:
     _write(args, suite_mod.REPORT_FIELDS, (c.csv_row() for c in report.cells), latex,
            report.json_lines, plain)
     return 0 if report.ok else 1
+
+
+class _IdentityIds:
+    """verify's --identity choices: suite.IDENTITY_IDS, read when argparse tests
+    or lists them, so that only verify, its help and its usage errors import suite."""
+
+    def __iter__(self):
+        from . import suite
+        return iter(suite.IDENTITY_IDS)
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,14 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt],
                        help="run one identity cell")
-    p.add_argument("--identity", required=True, choices=suite_mod.IDENTITY_IDS)
+    # set after add_argument, which would list the choices, and so import suite, at once
+    p.add_argument("--identity", required=True).choices = _IdentityIds()
     # only the work caps: suite.IDENTITIES holds each identity's lower bounds
     p.add_argument("--n", type=_int_in(most=MAX_CELL_N))
     p.add_argument("--r", type=_int_in(-MAX_DEGREE, MAX_DEGREE))
     p.add_argument("--s", type=_int_in(most=MAX_DEGREE))
     p.add_argument("--k", type=_int_in(most=MAX_DEGREE))
     p.add_argument("--index", type=_int_in(most=MAX_INDEX))
-    p.add_argument("--seed", type=_int_in(), default=suite_mod.DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in())  # None: suite.DEFAULT_SEED
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("suite", parents=[fmt],
@@ -458,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_int_in(0), default=4)
     p.add_argument("--s-max", type=_int_in(0), default=4)
     p.add_argument("--jobs", type=_int_in(1, MAX_JOBS), default=1)
-    p.add_argument("--seed", type=_int_in(), default=suite_mod.DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in())  # None: suite.DEFAULT_SEED
     p.set_defaults(run=_cmd_suite)
 
     return top

@@ -473,9 +473,17 @@ def test_cli_verify_roundtrip_seeded():
         (("convert", "--poly", "\u0661\u0662"), "unexpected character '\u0661' at position 0"),
         (("numbers", "--n-max", "\u0663"), "--n-max: invalid int value"),
         (("suite", "--seed", "\u0667"), "--seed: invalid int value"),
+        # --lambda is P/Q in ASCII digits: Fraction() would take the exponent and build
+        # 10^100000000 (killed after 30 s), and read the Arabic-Indic digits as 1/3
+        (("numbers", "--n-max", "1", "--lambda", "1e100000000"),
+         "--lambda: not a rational: '1e100000000'"),
+        (("numbers", "--n-max", "1", "--lambda", "\u0661/\u0663"),
+         "--lambda: not a rational: '\u0661/\u0663'"),
     )])
 def test_cli_out_of_domain_exits_2(argv, message):
+    t0 = time.perf_counter()
     code, out, err = run_cli(*argv)
+    assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
     assert message in err
 
@@ -485,7 +493,8 @@ def _argv_strategy():
     powers past MAX_DEGREE, malformed strings, and small, out-of-domain or
     just-past-the-cap numbers, constants past MAX_BITS and products past
     MAX_DEGREE, a 501-digit order, and lambdas whose values print past
-    MAX_OUT_BITS or that have too many digits to read.  Numbers under the
+    MAX_OUT_BITS, that have too many digits to read, or that Fraction()
+    reads and --lambda does not (an exponent, non-ASCII digits).  Numbers under the
     caps stay small, so that every run is cheap: suite's --n-max has no
     cap, --jobs is never drawn past 1 since the pool would start every
     worker, and free-form expressions are at most 8 characters."""
@@ -495,7 +504,7 @@ def _argv_strategy():
     word = st.sampled_from(["", "x", "1.5", "1/2", "--", "1e3", " 3", "\u0663", "\u00b2"])
     number = st.one_of(small, word)
     lam = st.sampled_from(["1", "-1", "2", "1/2", "-3", "1/0", "x", "0", "7" * 3000,
-                           "1/" + "9" * 5000])
+                           "1/" + "9" * 5000, "1e100000000", "\u0661/\u0663"])
     fmt = st.sampled_from(["plain", "latex", "csv", "json", "xml"])
     exponent = st.one_of(st.integers(0, 3), st.integers(MAX_DEGREE + 1, 10 * MAX_DEGREE))
     atom = st.one_of(st.sampled_from(["x", "L", "0", "(1 - L)", "(x + L)"]),
@@ -682,6 +691,7 @@ def test_cli_suite_builds_no_json_for_plain_or_latex(monkeypatch, fmt):
 
     monkeypatch.setattr(suite, "_json_text", no_json)
     monkeypatch.setattr(suite, "_json_lines", no_json)
+    monkeypatch.setattr(cli, "_json_text", no_json)  # the value commands' JSON
     for argv in EVERY_COMMAND:
         code, out, _ = run_cli(*argv, "--format", fmt)
         assert code == 0 and out, argv
@@ -900,17 +910,97 @@ def _imported(*argv) -> set:
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only suite --jobs > 1 needs a process pool and only JSON or CSV output
-    # needs json or csv, so each is imported there; dataclasses, with the
-    # inspect it loads, and typing are used nowhere.  Whatever the bare interpreter
-    # already imports (a site hook, say) is not feuler's doing.
+    # import feuler loads the algebra alone; only verify and suite load the
+    # suite.  Only suite --jobs > 1 needs a process pool and only JSON or CSV
+    # output needs json or csv, so each is imported there; dataclasses, with
+    # the inspect it loads, and typing are used nowhere.  Whatever the bare
+    # interpreter already imports (a site hook, say) is not feuler's doing.
     deferred = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect", "json", "csv",
                 "typing"}
+    algebra = {"feuler.scalar", "feuler.xpoly", "feuler.umbral", "feuler.frobenius"}
     bare = _imported("-c", "pass")
-    for argv in (("-c", "import feuler"), ("-m", "feuler", "numbers", "--n-max", "3")):
+    cases = [
+        (("-c", "import feuler"), algebra, {"feuler.cli", "feuler.suite", "argparse"}),
+        (("-m", "feuler", "numbers", "--n-max", "3"), algebra | {"feuler.cli"}, {"feuler.suite"}),
+        (("-m", "feuler", "verify", "--identity", "thm2", "--n", "3", "--r", "2", "--s", "1"),
+         algebra | {"feuler.cli", "feuler.suite"}, set()),
+        # a missing package name imports the submodule of that name, as perfbench does
+        (("-c", "from feuler import cli, suite; assert cli.main and suite.run_suite"),
+         algebra | {"feuler.cli", "feuler.suite"}, set()),
+    ]
+    for argv, wanted, unwanted in cases:
         loaded = _imported(*argv) - bare
-        assert "feuler.cli" in loaded, argv
-        assert sorted(loaded & deferred) == [], argv
+        assert sorted(wanted - loaded) == [], argv
+        assert sorted(loaded & (unwanted | deferred)) == [], argv
+
+
+def test_package_names_resolve_lazily_to_their_modules():
+    import feuler
+    from feuler import scalar, umbral, xpoly
+
+    modules = [scalar, xpoly, umbral, frobenius, suite, cli]  # a name's first owner defines it
+    for name in feuler.__all__:
+        if name == "__version__":
+            continue
+        owners = [m for m in modules if name in vars(m)]
+        assert owners and getattr(feuler, name) is getattr(owners[0], name), name
+    assert set(feuler.__all__) <= set(dir(feuler))
+    namespace = {}
+    exec("from feuler import *", namespace)
+    assert sorted(set(feuler.__all__) - set(namespace)) == []
+    with pytest.raises(AttributeError, match="'nope'"):
+        feuler.nope
+
+
+# verify --help, suite --help and an unknown identity, as printed before the
+# identity names and default seed were read lazily
+VERIFY_USAGE = """\
+usage: feuler verify [-h] [--format {plain,latex,csv,json}] --identity
+                     {cor3,cor4,eq12_ladder,eq15_duality,eq22_ladder,remark,thm1_roundtrip,thm2,thm5,thm6}
+                     [--n N] [--r R] [--s S] [--k K] [--index INDEX]
+                     [--seed SEED]
+"""
+HELP_BYTES = [
+    (("verify", "--help"), 0, VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --format {plain,latex,csv,json}
+                        output format (default plain)
+  --identity {cor3,cor4,eq12_ladder,eq15_duality,eq22_ladder,remark,thm1_roundtrip,thm2,thm5,thm6}
+  --n N
+  --r R
+  --s S
+  --k K
+  --index INDEX
+  --seed SEED
+""", ""),
+    (("suite", "--help"), 0, """\
+usage: feuler suite [-h] [--format {plain,latex,csv,json}] [--n-max N_MAX]
+                    [--r-max R_MAX] [--s-max S_MAX] [--jobs JOBS]
+                    [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --format {plain,latex,csv,json}
+                        output format (default plain)
+  --n-max N_MAX
+  --r-max R_MAX
+  --s-max S_MAX
+  --jobs JOBS
+  --seed SEED
+""", ""),
+    (("verify", "--identity", "nope"), 2, "", VERIFY_USAGE + (
+        "feuler verify: error: argument --identity: invalid choice: 'nope' (choose from "
+        "'cor3', 'cor4', 'eq12_ladder', 'eq15_duality', 'eq22_ladder', 'remark', "
+        "'thm1_roundtrip', 'thm2', 'thm5', 'thm6')\n")),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", HELP_BYTES,
+                         ids=[" ".join(argv) for argv, *_ in HELP_BYTES])
+def test_cli_help_and_identity_choices_are_pinned(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
+    assert run_cli(*argv) == (code, out, err)
 
 
 def test_numbers_of_a_high_order():
