@@ -422,14 +422,12 @@ def _cmd_suite(args) -> int:
 
 class _IdentityIds:
     """verify's --identity choices: suite.IDENTITY_IDS, read when argparse tests
-    or lists them, so that only verify, its help and its usage errors import suite."""
+    (``in`` falls back to ``__iter__``) or lists them, so that only verify, its
+    help and its usage errors import suite."""
 
     def __iter__(self):
         from . import suite
         return iter(suite.IDENTITY_IDS)
-
-    def __contains__(self, name) -> bool:
-        return name in tuple(self)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,8 +6,10 @@ order come from one integer recurrence, each numerator over a power of
 (1 - L) from the one before, Carlitz's Eulerian recurrence at order 1
 (see ``_row``), with no arithmetic in Q(L).  The order-lowering operator
 J: p(x) -> (p(x+1) - L p(x))/(1 - L) is g(D); its powers J^s read the
-rows of order -s, step between orders, and connect the polynomials to
-the L-analogue of the Stirling numbers of the second kind.
+rows of order -s, step between orders, change the order-r basis both
+ways (``to_fe_basis`` is J^r, ``from_fe_basis`` J^(-r), both through
+``j_lambda``), and connect the polynomials to the L-analogue of the
+Stirling numbers of the second kind.
 
 Every memo is a ``functools.lru_cache`` listed in ``_MEMOS``, scalar's
 memos of the rows of (1 - L)^e and of common denominators among them;
@@ -214,8 +216,6 @@ def to_fe_basis(p: XPoly, r: int) -> BasisExpansion:
 
 
 def from_fe_basis(expansion: BasisExpansion) -> XPoly:
-    """Recombine basis coefficients into the polynomial they expand."""
-    cs = expansion.coefficients
-    polys = [fe_poly(k, expansion.order).coeffs for k in range(len(cs))]
-    return XPoly._trimmed([dot((1, cs[k], polys[k][m]) for k in range(m, len(cs)))
-                           for m in range(len(cs))])
+    """Recombine basis coefficients into the polynomial they expand: H_k^{(r)}
+    is J^(-r) x^k, so sum_k c_k H_k^{(r)} is J^(-r) of sum_k c_k x^k."""
+    return j_lambda(XPoly(expansion.coefficients), -expansion.order)

@@ -32,8 +32,8 @@ by one integer recurrence for the numerators over powers of (1 - L).
     eq12_ladder     derivative of the order-r table | n times the order-r table
     eq22_ladder     (J H_m^{(r)})(0) from the order-r polynomials at 1 and 0, scaled by
                     C(n, k) | order r - 1 table
-    thm1_roundtrip  J^r p from the order -r row, one dot per coefficient | appell_expand
-                    on TruncSeries powering, then order-r tables recombined | p
+    thm1_roundtrip  J^r p from the order -r row | appell_expand on TruncSeries powering;
+                    J^(-r) of those coefficients from the order-r row | p
 """
 
 from __future__ import annotations

@@ -420,6 +420,21 @@ def test_basis_round_trip_random():
         assert from_fe_basis(e) == p
 
 
+def test_recombination_is_the_sum_over_the_tables():
+    # from_fe_basis is J^(-r) of sum_k c_k x^k; the oracle is the definition,
+    # sum_k c_k H_k^{(r)}, over the polynomial tables
+    rng = random.Random(46)
+    for r in range(-3, 5):
+        drawn = [(), (0,), (3, 0, -1), (Fraction(1, 2), 0, Fraction(-5, 3), 0, 0),
+                 (2, Fraction(7, 4), L, 0)]
+        for _ in range(4):
+            cs = tuple(rand_lrat(rng) for _ in range(rng.randint(1, 7)))
+            drawn += [cs, cs + (ZERO,) * rng.randint(1, 3)]
+        for cs in drawn:
+            oracle = sum((fe_poly(k, r) * c for k, c in enumerate(cs)), XPoly([]))
+            assert from_fe_basis(BasisExpansion(r, cs)) == oracle, (r, cs)
+
+
 def test_basis_matches_functional_route():
     rng = random.Random(43)
     for _ in range(12):

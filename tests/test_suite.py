@@ -274,6 +274,25 @@ def _bump_fourth_power(orig):
     return lambda self, n: orig(self, n) + ONE if n == 4 else orig(self, n)
 
 
+def _reflect(p):
+    # R: p(x) -> p(-x)
+    return XPoly._trimmed([-c if k % 2 else c for k, c in enumerate(p.coeffs)])
+
+
+def _reflect_j(orig):
+    # R J^s R: J with e^(-t) in place of e^t, which R cancels in J^(-r) J^r p = p
+    return lambda p, s=1: _reflect(orig(_reflect(p), s))
+
+
+def _bump_expansion_at_one(orig):
+    # coefficient 1 of every Appell expansion that has one
+    return lambda g, p: [c + ONE if k == 1 else c for k, c in enumerate(orig(g, p))]
+
+
+def _bump_pairing(orig):
+    return lambda self, p: orig(self, p) + ONE
+
+
 def _drop_weights_divisible_by_seven(orig):
     # every sum of products: the terms whose int weight is 0 mod 7
     return lambda terms: orig(t for t in terms if t[0] % 7)
@@ -285,10 +304,20 @@ ROUTE_ROWS = [
                  {"thm1_roundtrip"}, id="J-rows-of-order-minus-one"),
     pytest.param(TruncSeries, "__pow__", _bump_series_coefficient,
                  {"thm1_roundtrip", "eq15_duality"}, id="TruncSeries-powering"),
-    # from_fe_basis and eq22's J at 0 read frobenius.fe_poly; the suite
-    # imports its own binding
+    # J^(-r) and J^r of thm1 are one j_lambda, checked against appell_expand
+    # alone: J with e^(-t) for e^t cancels in the round trip, not in the lists
+    pytest.param(frobenius, "j_lambda", _reflect_j,
+                 {"thm1_roundtrip"}, id="j_lambda-reflected"),
+    pytest.param(suite, "appell_expand", _bump_expansion_at_one,
+                 {"thm1_roundtrip"}, id="appell-expand"),
+    pytest.param(TruncSeries, "functional", _bump_pairing,
+                 {"eq15_duality"}, id="TruncSeries-functional"),
+    pytest.param(TruncSeries, "mul_t_power", _bump_series_coefficient,
+                 {"eq15_duality"}, id="TruncSeries-mul-t-power"),
+    # eq22's J at 0 reads frobenius.fe_poly; thm1 recombines through j_lambda
+    # on the order-r row, not through the tables; the suite imports its own binding
     pytest.param(frobenius, "fe_poly", _bump_polynomial_at((1, 1)),
-                 {"eq22_ladder", "thm1_roundtrip"}, id="recombination-tables"),
+                 {"eq22_ladder"}, id="eq22-polynomial-tables"),
     pytest.param(suite, "fe_poly", _bump_polynomial_at((3, 2)),
                  {"eq12_ladder", "eq15_duality", "eq22_ladder", "thm2"}, id="suite-tables"),
     # the order-1 table is cor3's left side
@@ -302,9 +331,9 @@ ROUTE_ROWS = [
                  {"eq22_ladder"}, id="XPoly-evaluate"),
     pytest.param(frobenius, "lowering_coeff", _bump_weights_at_two_steps,
                  {"thm2", "cor3", "cor4", "thm5", "remark"}, id="split-sum-weights"),
-    # remark reads the order-1 row
+    # remark reads the order-1 row; thm1 at r = 2 recombines, J^(-2), from the order-2 row
     pytest.param(frobenius, "fe_numbers", _bump_number_at((1, 2)),
-                 {"thm2", "cor3", "cor4", "thm5", "thm6"}, id="split-sum-rows"),
+                 {"thm2", "cor3", "cor4", "thm5", "thm6", "thm1_roundtrip"}, id="split-sum-rows"),
     pytest.param(frobenius, "_surjection_row", _bump_surjections_onto_two,
                  {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}, id="surjection-counts"),
     pytest.param(frobenius, "stirling_lambda", _bump_stirling_at_two,
@@ -321,8 +350,8 @@ ROUTE_ROWS = [
 UNCOVERED = [
     pytest.param(TruncSeries, "recip", _bump_series_coefficient,
                  id="TruncSeries-recip: no identity in the grid takes a negative series power"),
-    # j_lambda, the one J^r of thm1's to_fe_basis, reads the rows of the
-    # opposite order, and eq22's J at 0 the values at 1; neither shifts a polynomial
+    # j_lambda, the one J^s of thm1's to_fe_basis and from_fe_basis, reads the
+    # rows of the opposite order, and eq22's J at 0 the values at 1; neither shifts a polynomial
     pytest.param(XPoly, "shift", _bump_shift_by(1),
                  id="XPoly-shift-by-one: j_lambda shifts nothing"),
     pytest.param(XPoly, "shift", _bump_shift_by(3),
@@ -362,6 +391,19 @@ def test_uncovered_block_changes_no_cell(monkeypatch, cold_caches, owner, name, 
     assert _mismatching_identities(monkeypatch, owner, name, perturb) == set()
 
 
+def test_reflected_j_mismatches_on_the_coefficient_lists(monkeypatch, cold_caches):
+    # J^(-r) J^r p = p holds for the reflected J too, so only the comparison
+    # with appell_expand can catch it; each mismatch prints the dual list
+    monkeypatch.setattr(frobenius, "j_lambda", _reflect_j(frobenius.j_lambda))
+    bad = [c for c in run_suite(6, 3, 3).cells if c.status == "mismatch"]
+    inputs = list(roundtrip_inputs(DEFAULT_SEED, 100))
+    assert bad and {c.identity for c in bad} == {"thm1_roundtrip"}
+    for c in bad:
+        p, r = inputs[c.params["index"]]
+        dual = umbral.appell_expand(frobenius.fe_series(r, int(p.degree)), p)
+        assert c.rhs == "; ".join(str(x) for x in dual), c.params
+
+
 def _names_read(code):
     names = set(code.co_names)
     for const in code.co_consts:
@@ -372,11 +414,14 @@ def _names_read(code):
 
 def test_evaluation_route_reads_no_series():
     # the dual side of thm1 is appell_expand on TruncSeries powering; the
-    # other is j_lambda on the rows of order -r, which to_fe_basis applies
+    # other is j_lambda on the rows of order -r, which to_fe_basis applies,
+    # and from_fe_basis recombines by j_lambda too, on the rows of order r
     assert "j_lambda" in _names_read(frobenius.to_fe_basis.__code__)
+    back = _names_read(frobenius.from_fe_basis.__code__)
+    assert "j_lambda" in back and not back & {"fe_poly", "dot"}
     read = _names_read(frobenius.j_lambda.__code__)
     assert "fe_numbers" in read and "shift" not in read
-    read |= _names_read(frobenius._row.__code__)
+    read |= back | _names_read(frobenius._row.__code__)
     assert not read & {"fe_series", "_longest_series", "cached_series", "TruncSeries",
                         "appell_expand", "umbral"}
 
