@@ -176,7 +176,7 @@ class _Parser:
 def _degrees(v: XPoly) -> tuple:
     """v's degree in x and the largest degree in L of a numerator or denominator,
     each of which adds up over a product."""
-    return len(v.coeffs) - 1, max((max(len(c.p), len(c.q)) - 1 for c in v.coeffs), default=0)
+    return len(v.coeffs) - 1, max((max(len(c.p), c.e + len(c.r)) - 1 for c in v.coeffs), default=0)
 
 
 def _bits(v: XPoly) -> int:

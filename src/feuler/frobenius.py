@@ -80,7 +80,9 @@ def fe_numbers(n_max: int, r: int = 1) -> list:
 
 @lru_cache(maxsize=None)
 def fe_poly(n: int, r: int = 1) -> XPoly:
-    """The monic degree-n polynomial H_n^{(r)}(x|L)."""
+    """The monic degree-n polynomial H_n^{(r)}(x|L), n >= 0."""
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
     row = _row(r, n)
     # row entries have integer content (b == 1), which C(n, l) scales, and r = 1
     return XPoly([LambdaRat._make(comb(n, l) * h.a, 1, h.p, h.e)
@@ -90,6 +92,8 @@ def fe_poly(n: int, r: int = 1) -> XPoly:
 def fe_series(r: int, trunc: int) -> TruncSeries:
     """The series ((e^t - L)/(1 - L))^r that the order-r sequence inverts, sliced
     from one power per order: its coefficient k does not depend on trunc."""
+    if trunc < 0:
+        raise ValueError(f"truncation trunc must be >= 0, got {trunc}")
     full = _longest_series(r, max(16, 1 << (trunc - 1).bit_length()))
     return TruncSeries._raw(full.coeffs[:trunc + 1])
 

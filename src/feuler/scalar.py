@@ -10,8 +10,10 @@ values coincides with structural (and textual) equality.
   every Frobenius-Euler value.  p is prime to the denominator, the value
   is a polynomial exactly when e == 0 and r == (1,), and zero is
   ``(0 / 1) * () / 1``.  The split is stored, so no operation recognises
-  it again; ``q``, the denominator as one tuple, is a view built from it.
-  ``_parts`` splits only a denominator that arrives whole: in
+  it again, and every value is read through ``(a, b, p, e, r)``;
+  ``q``, the denominator as one tuple, is built from it only to print a
+  denominator whole or to turn it into a numerator.  ``_parts`` splits
+  only a denominator that arrives whole: in
   ``LambdaRat(num, den)``, and in ``inverse``, whose denominator is the
   old numerator.  Arithmetic reads and writes this form with ints only:
   gcd, exact division and convolution on the tuples, ``math.gcd`` on the
@@ -48,8 +50,9 @@ values coincides with structural (and textual) equality.
   coefficients over the lcm of their denominators and takes the content,
   on ints.  ``lrat`` takes an int or a Fraction only.  ``LambdaPoly`` is
   a bare record of Fraction coefficients with no trailing zero, and no
-  behaviour: ``LambdaRat(num, den)`` reads it like a sequence, and
-  ``.num`` and ``.den`` return it (``(a / b) * p`` and ``q``).
+  behaviour, kept for the benchmark alone: ``LambdaRat(num, den)`` reads
+  it like a sequence, and ``.num`` and ``.den`` return it
+  (``(a / b) * p`` and ``q``).
 * One term walker, ``_render``, prints every polynomial in L from the
   ints ``(a, b, p)``, plain or LaTeX: ``str``, ``embed_str``, ``XPoly``
   and the CLI's LaTeX.  Hashes come from ``(a, b, p, e, r)``, a
@@ -213,8 +216,8 @@ def _iquo(a, b):
     return q
 
 
-def _ieval(a, x: int) -> int:
-    """Value of an int sequence at an integer point, by Horner's rule."""
+def _ieval(a, x):
+    """Value of an int sequence at an int or Fraction point, by Horner's rule."""
     v = 0
     for c in reversed(a):
         v = v * x + c
@@ -398,16 +401,6 @@ def dot(terms) -> "LambdaRat":
     return _reduce(prods)
 
 
-def _horner(coeffs, point) -> Fraction:
-    """Value of an ascending coefficient sequence at a rational point."""
-    if not isinstance(point, Fraction):
-        point = Fraction(point)
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
-
-
 def _render(a: int, b: int, p, latex: bool = False) -> str:
     """The polynomial (a / b) * p in L, ascending, as plain text or LaTeX.
 
@@ -485,7 +478,7 @@ class LambdaRat:
     split ``(1 - L)^e * r`` of the denominator, in the canonical form of
     the module docstring, so two equal field elements are structurally
     identical and print identically.  ``q``, the denominator as one
-    tuple, is a view built from the split.
+    tuple, is built from the split.
     """
 
     __slots__ = ("a", "b", "p", "e", "r")
@@ -612,11 +605,12 @@ class LambdaRat:
                                self.e * n, tuple(_ipow(self.r, n)))
 
     def evaluate(self, point) -> Fraction:
-        """Value at a rational point of L; raises PoleError at a pole."""
-        d = _horner(self.q, point)
+        """(a / b) p(x) / ((1 - x)^e r(x)) at a rational point x of L; raises
+        PoleError at a pole."""
+        d = (1 - point) ** self.e * _ieval(self.r, point)
         if not d:
             raise PoleError(f"pole at L = {point}")
-        return Fraction(self.a, self.b) * _horner(self.p, point) / d
+        return Fraction(self.a, self.b) * _ieval(self.p, point) / d
 
     def __eq__(self, other):
         other = _coerce(other)

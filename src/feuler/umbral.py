@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .scalar import ONE, ZERO, LambdaRat, _coerce, dot
+from .scalar import ONE, ZERO, LambdaRat, dot
 from .xpoly import XPoly
 
 
@@ -62,10 +62,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            s = _coerce(other)
-            if s is NotImplemented:
-                return NotImplemented
-            return TruncSeries._raw(tuple(c * s for c in self.coeffs))
+            return NotImplemented
         n = min(self.trunc, other.trunc)
         a, b = self.coeffs, other.coeffs
         out = tuple(dot((comb(m, k), a[k], b[m - k]) for k in range(m + 1)) for m in range(n + 1))

@@ -1,11 +1,20 @@
-"""Seeded random value generators shared by the test modules."""
+"""Seeded random value generators and helpers shared by the test modules.
+
+A polynomial in L is a list of ascending coefficients with no trailing
+zero; values are built as ``LambdaRat(num, den)`` and read back through
+their ints ``(a, b, p, e, r)``.
+"""
 
 from fractions import Fraction
 from math import comb, gcd
 
-from feuler.scalar import ZERO, LambdaPoly, LambdaRat, _parts, lrat
+from feuler.scalar import ZERO, LambdaRat, _imul, _itrim, _parts, lrat
 from feuler.umbral import TruncationError, TruncSeries
 from feuler.xpoly import XPoly
+
+# 1 + L, 2 - L, 1 + L^2 and 3 + L: products of them are denominators r prime
+# to 1 - L, and distinct products often share a factor
+R_FACTORS = ([1, 1], [2, -1], [1, 0, 1], [3, 1])
 
 
 def times_one_minus_l(coeffs, k):
@@ -16,11 +25,52 @@ def times_one_minus_l(coeffs, k):
     return out
 
 
+def one_minus_l_pow(e):
+    """The coefficients of (1 - L)^e."""
+    return times_one_minus_l([1], e)
+
+
+def r_product(picks):
+    """The coefficients of the product of R_FACTORS[i] over i in picks."""
+    r = [1]
+    for i in picks:
+        r = _imul(r, R_FACTORS[i])
+    return r
+
+
+def num_coeffs(v):
+    """The numerator (a / b) * p of a LambdaRat, as Fractions."""
+    return [Fraction(v.a * c, v.b) for c in v.p]
+
+
+def den_coeffs(v):
+    """The denominator (1 - L)^e * r of a LambdaRat, as one int list."""
+    return times_one_minus_l(v.r, v.e)
+
+
+def assert_same(u, v):
+    assert u == v
+    assert str(u) == str(v)
+    assert hash(u) == hash(v)
+
+
+def check_field_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a - a == 0
+    if a:
+        assert a * a.inverse() == 1
+        assert a / a == 1
+
+
 def rand_lpoly(rng, max_deg=2, zero_ok=True):
     deg = rng.randint(0, max_deg)
-    p = LambdaPoly([rng.randint(-5, 5) for _ in range(deg + 1)])
-    if not zero_ok and not p.coeffs:
-        return LambdaPoly([1])
+    p = _itrim([rng.randint(-5, 5) for _ in range(deg + 1)])
+    if not zero_ok and not p:
+        return [1]
     return p
 
 
@@ -69,20 +119,12 @@ def check_canonical(v):
     assert v.b > 0 and gcd(v.a, v.b) == 1
     assert isinstance(v.e, int) and v.e >= 0
     assert isinstance(v.r, tuple) and sum(v.r) != 0 and v.r[-1] != 0
-    g = 0
-    for c in v.r:
-        g = gcd(g, c)
-    assert g == 1 and next(c for c in v.r if c) > 0
-    assert (v.e, v.r) == _parts(v.q)
-    den = v.den.coeffs
-    assert all(c.denominator == 1 for c in den)
-    for p in ([c.numerator for c in den], v.p):
-        if not p:
-            continue
-        g = 0
-        for c in p:
-            g = gcd(g, c)
-        assert g == 1
-        assert next(c for c in p if c) > 0
+    assert all(type(c) is int for c in v.p + v.r)
+    q = den_coeffs(v)
+    assert (v.e, v.r) == _parts(tuple(q))
+    for p in (v.r, q, v.p):
+        if p:
+            assert gcd(*p) == 1
+            assert next(c for c in p if c) > 0
     if not v.p:
-        assert (v.a, v.b, v.q) == (0, 1, (1,))
+        assert (v.a, v.b, v.e, v.r) == (0, 1, 0, (1,))

@@ -19,7 +19,7 @@ from math import comb, factorial
 
 import pytest
 
-from feuler.scalar import LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, dot, lrat
+from feuler.scalar import LAMBDA, ONE, ZERO, LambdaRat, dot, lrat
 from feuler.umbral import TruncSeries, appell_expand
 from feuler.xpoly import X, XPoly
 import feuler
@@ -39,7 +39,7 @@ from feuler.frobenius import (
 )
 
 from feuler.suite import DEFAULT_SEED, roundtrip_inputs
-from genutil import appell_sequence, rand_lrat, rand_xpoly
+from genutil import appell_sequence, den_coeffs, num_coeffs, rand_lrat, rand_xpoly
 
 L = LAMBDA
 ONE_MINUS = ONE - L
@@ -133,7 +133,7 @@ def one_minus_l_valuation(c):
 def test_first_numbers_frozen():
     h = fe_numbers(3)
     assert h[0] == 1
-    assert h[1] == LambdaRat(LambdaPoly([-1]), LambdaPoly([1, -1]))
+    assert h[1] == LambdaRat([-1], [1, -1])
     assert str(h[1]) == "(-1) / (1 - 1*L)"
     assert h[2] == (ONE + L) / ONE_MINUS ** 2
     assert h[3] == -(ONE + 4 * L + L ** 2) / ONE_MINUS ** 3
@@ -531,10 +531,8 @@ def test_lambda_zero_specialization():
 def test_number_denominators_are_powers_of_one_minus_lambda():
     for r in range(1, 5):
         for n, h in enumerate(fe_numbers(8, r)):
-            d = len(h.den.coeffs) - 1
-            if d <= 0:
-                continue
-            assert h.den.coeffs == ((ONE - LAMBDA) ** d).num.coeffs
+            assert h.r == (1,), (n, r)
+            assert h * (ONE - LAMBDA) ** h.e == LambdaRat(num_coeffs(h)), (n, r)
 
 
 def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
@@ -548,8 +546,8 @@ def test_order_one_numbers_are_eulerian_polynomials_up_to_60():
             row = [(k + 1) * (row[k] if k < len(row) else 0)
                    + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
         sign = -1 if n % 2 else 1
-        assert h[n].num.coeffs == tuple(Fraction(sign * a) for a in row), n
-        assert h[n].den.coeffs == tuple(Fraction((-1) ** k * comb(n, k)) for k in range(n + 1)), n
+        assert num_coeffs(h[n]) == [sign * a for a in row], n
+        assert den_coeffs(h[n]) == [(-1) ** k * comb(n, k) for k in range(n + 1)], n
 
 
 def _memos_in_namespaces():
@@ -586,6 +584,18 @@ def test_clear_caches_empties_every_memo():
     frobenius.clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
     assert values() == before
+
+
+def test_negative_sizes_are_refused_before_any_memo_entry():
+    frobenius.clear_caches()
+    for build, message in ((lambda: fe_poly(-1), "degree n must be >= 0, got -1"),
+                           (lambda: fe_poly(-3, 2), "degree n must be >= 0, got -3"),
+                           (lambda: fe_series(1, -1), "truncation trunc must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert not any(m.cache_info().currsize for m in frobenius._MEMOS)
+    # j_lambda of the zero polynomial reads the empty row
+    assert fe_numbers(-1) == [] and j_lambda(XPoly([]), 2) == XPoly([])
 
 
 def test_clear_caches_frees_what_a_large_row_held():

@@ -1,7 +1,7 @@
 """SymPy as an independent oracle for Q(L) arithmetic and the numbers.
 
 Every value is mapped into SymPy's rational function field through its
-printed-form coefficients, so the oracle shares no arithmetic with feuler.
+ints (a, b, p, e, r), so the oracle shares no arithmetic with feuler.
 """
 
 import random
@@ -16,8 +16,10 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
 from feuler.frobenius import fe_numbers  # noqa: E402
-from feuler.scalar import ONE, ZERO, LambdaPoly, LambdaRat, _imul, _parts, dot, lrat  # noqa: E402
-from genutil import check_canonical, rand_lpoly, rand_lrat, times_one_minus_l  # noqa: E402
+from feuler.scalar import ONE, ZERO, LambdaRat, _imul, dot, lrat  # noqa: E402
+from genutil import (  # noqa: E402
+    assert_same, check_canonical, num_coeffs, one_minus_l_pow, r_product, rand_lpoly, rand_lrat,
+    times_one_minus_l)
 
 K, L = field("L", QQ)
 
@@ -27,15 +29,10 @@ def sympy_poly(cs):
 
 
 def to_sympy(v):
-    out = sympy_poly(v.num.coeffs) / sympy_poly(v.den.coeffs)
+    out = sympy_poly(num_coeffs(v)) / ((1 - L) ** v.e * sympy_poly(v.r))
     # SymPy cancels common factors: a denominator it shortens was unreduced
-    assert out.denom.degree() == len(v.den.coeffs) - 1, v
+    assert out.denom.degree() == v.e + len(v.r) - 1, v
     return out
-
-
-def _over_one_minus_l(num, e):
-    # num / (1 - L)^e through the general constructor, which reduces it
-    return LambdaRat(LambdaPoly(num), LambdaPoly(times_one_minus_l([1], e)))
 
 
 def _power_pair(rng, i):
@@ -44,21 +41,22 @@ def _power_pair(rng, i):
     # carries (1 - L)^k against the other denominator, a polynomial
     # against e > 0, and two unrelated exponents
     e = rng.randint(1, 8)
-    na = rand_lpoly(rng, max_deg=4, zero_ok=False).coeffs
-    a = _over_one_minus_l(na, e)
+    # each num / (1 - L)^e goes through the general constructor, which reduces it
+    na = rand_lpoly(rng, max_deg=4, zero_ok=False)
+    a = LambdaRat(na, one_minus_l_pow(e))
     kind = i % 4
     if kind == 0:
         k = rng.randint(1, e)
-        common = times_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs, k)
+        common = times_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=False), k)
         nb = [c - d for c, d in zip_longest(common, na, fillvalue=0)]
-        return a, _over_one_minus_l(nb, e)
+        return a, LambdaRat(nb, one_minus_l_pow(e))
     if kind == 1:
         k = rng.randint(1, 8)
-        nb = times_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs, k)
-        return a, _over_one_minus_l(nb, 0)
+        nb = times_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=False), k)
+        return a, LambdaRat(nb)
     if kind == 2:
-        return a, _over_one_minus_l(rand_lpoly(rng, max_deg=4).coeffs, 0)
-    return a, _over_one_minus_l(rand_lpoly(rng, max_deg=4).coeffs, rng.randint(0, 8))
+        return a, LambdaRat(rand_lpoly(rng, max_deg=4))
+    return a, LambdaRat(rand_lpoly(rng, max_deg=4), one_minus_l_pow(rng.randint(0, 8)))
 
 
 def _pair(rng, i):
@@ -97,7 +95,7 @@ def _dot_operand(rng):
     v = rand_lrat(rng, max_deg=3) if kind != 1 else lrat(1)
     if kind:
         e = rng.randint(0, 6)
-        v = v * _over_one_minus_l(rand_lpoly(rng, max_deg=3, zero_ok=kind == 1).coeffs, e)
+        v = v * LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=kind == 1), one_minus_l_pow(e))
     return v
 
 
@@ -121,15 +119,12 @@ def test_dot_matches_sympy():
                  for picks in _distinct_r_picks(rng)]
         want = sum((w * to_sympy(x) * to_sympy(y) for w, x, y in terms), K.zero)
         if i % 3 == 0:
-            t = _over_one_minus_l(rand_lpoly(rng, max_deg=3).coeffs, rng.randint(0, 3))
+            t = LambdaRat(rand_lpoly(rng, max_deg=3), one_minus_l_pow(rng.randint(0, 3)))
             rest = t - sum((w * x * y for w, x, y in terms), lrat(0))
             terms.append((1, rest, lrat(1)))
             want += to_sympy(rest)
             assert want == to_sympy(t)
         assert to_sympy(dot(terms)) == want
-
-
-_R_FACTORS = ([1, 1], [2, -1], [1, 0, 1], [3, 1])  # 1 + L, 2 - L, 1 + L^2, 3 + L
 
 
 def _distinct_r_picks(rng):
@@ -144,13 +139,11 @@ def _distinct_r_picks(rng):
 def _over_r(rng, picks):
     # a numerator that shares no factor with r, over (1 - L)^e * r; the
     # input is built with feuler's own product, the check is SymPy's
-    r = [1]
-    for i in picks:
-        r = _imul(r, _R_FACTORS[i])
+    r = r_product(picks)
     while True:
         v = LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=False),
-                      LambdaPoly(times_one_minus_l(r, rng.randint(0, 3))))
-        if _parts(v.q)[1] == tuple(r):
+                      times_one_minus_l(r, rng.randint(0, 3)))
+        if v.r == tuple(r):
             return v
 
 
@@ -168,30 +161,22 @@ def from_sympy(f):
     # rebuilt from SymPy's reduced numerator and denominator
     def poly(p):
         cs = dict(p)
-        return LambdaPoly([Fraction(int(cs[(i,)].numerator), int(cs[(i,)].denominator))
-                           if (i,) in cs else 0 for i in range(p.degree() + 1)])
+        return [Fraction(int(cs[(i,)].numerator), int(cs[(i,)].denominator))
+                if (i,) in cs else 0 for i in range(p.degree() + 1)]
     return LambdaRat(poly(f.numer), poly(f.denom))
-
-
-def assert_same(u, v):
-    assert u == v
-    assert str(u) == str(v)
-    assert hash(u) == hash(v)
 
 
 def _factors(rng):
     # a product of up to three of 1 + L, 2 - L, 1 + L^2, 3 + L, times
     # (1 - L)^e with e <= 3
-    out = times_one_minus_l([1], rng.randint(0, 3))
-    for _ in range(rng.randint(0, 3)):
-        out = _imul(out, _R_FACTORS[rng.randrange(4)])
-    return out
+    e = rng.randint(0, 3)
+    return times_one_minus_l(r_product([rng.randrange(4) for _ in range(rng.randint(0, 3))]), e)
 
 
 def _scaled(rng, coeffs):
     # coeffs times a rational of either sign
     f = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
-    return LambdaPoly([f * c for c in coeffs])
+    return [f * c for c in coeffs]
 
 
 def test_constructor_cancels_shared_factors_like_sympy():
@@ -202,7 +187,7 @@ def test_constructor_cancels_shared_factors_like_sympy():
     rng = random.Random(1212)
     for i in range(150):
         shared = _factors(rng)
-        num = _imul(_imul(rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs, shared),
+        num = _imul(_imul(rand_lpoly(rng, max_deg=3, zero_ok=False), shared),
                     _factors(rng))
         den = _imul(_factors(rng), shared)
         if i % 3 == 0:
@@ -212,7 +197,7 @@ def test_constructor_cancels_shared_factors_like_sympy():
         num, den = _scaled(rng, num), _scaled(rng, den)
         v = LambdaRat(num, den)
         check_canonical(v)
-        want = sympy_poly(num.coeffs) / sympy_poly(den.coeffs)
+        want = sympy_poly(num) / sympy_poly(den)
         assert to_sympy(v) == want
         assert_same(v, from_sympy(want))
         assert_same(v, LambdaRat(num) / LambdaRat(den))
@@ -228,17 +213,13 @@ def test_products_cancel_across_operands_like_sympy():
         picks = list(range(4))
         rng.shuffle(picks)
         cut = rng.randint(1, 3)
-        rx, ry = [1], [1]
-        for i in picks[:cut]:
-            rx = _imul(rx, _R_FACTORS[i])
-        for i in picks[cut:]:
-            ry = _imul(ry, _R_FACTORS[i])
+        rx, ry = r_product(picks[:cut]), r_product(picks[cut:])
         e, f = rng.randint(0, 4), rng.randint(0, 4)
 
         def operand(r_num, k, r_den, d):
-            a = rand_lpoly(rng, max_deg=2, zero_ok=False).coeffs
+            a = rand_lpoly(rng, max_deg=2, zero_ok=False)
             num = times_one_minus_l(_imul(a, r_num), k)
-            return LambdaRat(_scaled(rng, num), LambdaPoly(times_one_minus_l(r_den, d)))
+            return LambdaRat(_scaled(rng, num), times_one_minus_l(r_den, d))
 
         x = operand(ry, rng.randint(0, f), rx, e)
         y = operand(rx, rng.randint(0, e), ry, f)
@@ -260,7 +241,7 @@ def _walk_terms(rng):
     terms = []
     for _ in range(rng.randint(3, 8)):
         den = times_one_minus_l(rng.choice(_WALK_R), rng.choice((0, 2, 5, 9)))
-        x = LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=False), LambdaPoly(den))
+        x = LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=False), den)
         y = LambdaRat(rand_lpoly(rng, max_deg=2, zero_ok=False))
         terms.append((rng.randint(-4, 4) or 1, x, y))
     return terms
@@ -273,9 +254,9 @@ def _cancelling_pair(rng, r):
     # second
     num = rand_lpoly(rng, max_deg=3, zero_ok=False)
     w = rng.randint(1, 4)
-    lo = LambdaRat(num, LambdaPoly(times_one_minus_l(r, 2)))
-    hi = LambdaRat(num, LambdaPoly(times_one_minus_l(r, 5)))
-    return [(w, lo, ONE), (-w, hi, LambdaRat(LambdaPoly(times_one_minus_l([1], 3))))]
+    lo = LambdaRat(num, times_one_minus_l(r, 2))
+    hi = LambdaRat(num, times_one_minus_l(r, 5))
+    return [(w, lo, ONE), (-w, hi, LambdaRat(one_minus_l_pow(3)))]
 
 
 def test_horner_walk_matches_sympy_and_the_fold():
@@ -289,7 +270,7 @@ def test_horner_walk_matches_sympy_and_the_fold():
         if i % 2:
             r = rng.choice(_WALK_R)
             terms += _cancelling_pair(rng, r)
-            den = LambdaPoly(times_one_minus_l(r, 9))
+            den = times_one_minus_l(r, 9)
             terms.append((1, LambdaRat(rand_lpoly(rng, max_deg=3, zero_ok=False), den), ONE))
             rng.shuffle(terms)
         want = sum((w * to_sympy(x) * to_sympy(y) for w, x, y in terms), K.zero)
@@ -311,15 +292,15 @@ def test_horner_walk_matches_sympy_and_the_fold():
 def test_one_term_reduction_cancels_against_r():
     # (1 + L) n / (1 + L) is n; so is any r (1 - L)^k n over r (1 - L)^e,
     # as a constructed value and as a product, dot's one-term case
-    assert_same(LambdaRat(LambdaPoly([3, 5, 2]), LambdaPoly([1, 1])), LambdaRat([3, 2]))
+    assert_same(LambdaRat([3, 5, 2], [1, 1]), LambdaRat([3, 2]))
     rng = random.Random(1215)
     for _ in range(80):
         r = rng.choice(_WALK_R[1:])
-        n = rand_lpoly(rng, max_deg=3, zero_ok=False).coeffs
+        n = rand_lpoly(rng, max_deg=3, zero_ok=False)
         e = rng.randint(0, 3)
         num = _scaled(rng, times_one_minus_l(_imul(n, r), rng.randint(0, e)))
         den = _scaled(rng, times_one_minus_l(r, e))
-        want = sympy_poly(num.coeffs) / sympy_poly(den.coeffs)
+        want = sympy_poly(num) / sympy_poly(den)
         v = LambdaRat(num, den)
         check_canonical(v)
         assert v.r == (1,)
@@ -341,7 +322,7 @@ def test_constant_factor_scales_the_content(c):
     for i in range(60):
         v = rand_lrat(rng, max_deg=3)
         if i % 2:
-            v = v * _over_one_minus_l(rand_lpoly(rng, max_deg=2).coeffs, rng.randint(0, 4))
+            v = v * LambdaRat(rand_lpoly(rng, max_deg=2), one_minus_l_pow(rng.randint(0, 4)))
         for got in (v * c, c * v):
             check_canonical(got)
             assert to_sympy(got) == to_sympy(v) * sc

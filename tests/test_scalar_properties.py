@@ -16,60 +16,35 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from feuler import scalar  # noqa: E402
 from feuler.cli import latex_lrat, latex_xpoly  # noqa: E402
 from feuler.scalar import (  # noqa: E402
-    LAMBDA, ONE, ZERO, LambdaPoly, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, dot,
-    lrat)
+    LAMBDA, ONE, ZERO, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, dot, lrat)
 from feuler.xpoly import XPoly  # noqa: E402
-from genutil import check_canonical, times_one_minus_l  # noqa: E402
+from genutil import (  # noqa: E402
+    assert_same, check_canonical, check_field_axioms, den_coeffs, num_coeffs, one_minus_l_pow,
+    r_product, times_one_minus_l)
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-polys = st.lists(coeffs, max_size=4).map(LambdaPoly)
-nonzero_polys = polys.map(lambda p: p if p.coeffs else LambdaPoly([1]))
+polys = st.lists(coeffs, max_size=4).map(_itrim)
+nonzero_polys = polys.map(lambda p: p or [1])
 lrats = st.builds(LambdaRat, polys, nonzero_polys)
 nonzero_lrats = lrats.filter(bool)
-
-
-def one_minus_l_pow(e):
-    return LambdaPoly(times_one_minus_l([1], e))
-
-
-def times_one_minus_l_pow(p, k):
-    return LambdaPoly(times_one_minus_l(p.coeffs, k))
-
 
 # p (1 - L)^k / (1 - L)^e with k <= 3 and e <= 8, through the general
 # constructor: both denominators of an operation on two of these are powers
 # of (1 - L), the gcd-free path
 power_lrats = st.builds(
-    lambda p, k, e: LambdaRat(times_one_minus_l_pow(p, k), one_minus_l_pow(e)),
+    lambda p, k, e: LambdaRat(times_one_minus_l(p, k), one_minus_l_pow(e)),
     polys, st.integers(0, 3), st.integers(0, 8))
 # p / (r (1 - L)^e) with r from a short list, so that the terms of a sum
 # often share r and differ in e
 other_dens = st.sampled_from([[1], [1, 1], [2, -1], [1, 0, 1], [3, 1, 1]])
 mixed_lrats = st.builds(
-    lambda p, r, e: LambdaRat(p, LambdaPoly(times_one_minus_l(r, e))),
+    lambda p, r, e: LambdaRat(p, times_one_minus_l(r, e)),
     polys, other_dens, st.integers(0, 5))
 xpolys = st.lists(lrats, max_size=4).map(XPoly)
 # nonzero int polynomials of degree <= 20, coefficients up to 2^70
 int_polys = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=21).map(_itrim).filter(bool)
 
 seeded = settings(derandomize=True, deadline=None, database=None, max_examples=60)
-
-
-def assert_same(u, v):
-    assert u == v
-    assert str(u) == str(v)
-    assert hash(u) == hash(v)
-
-
-def check_field_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a - a == 0
-    if a:
-        assert a * a.inverse() == 1
 
 
 @seeded
@@ -112,11 +87,7 @@ def test_denominator_is_primitive_with_positive_lowest_term(a, b):
 # p / ((1 - L)^k (1 + L)^i (2 - L)^j): a stored split whose r is 1, a
 # single factor or a product of them, next to any power of (1 - L)
 def over_split(p, k, i, j):
-    den = times_one_minus_l([1], k)
-    for factor, times in (([1, 1], i), ([2, -1], j)):
-        for _ in range(times):
-            den = _imul(den, factor)
-    return LambdaRat(p, LambdaPoly(den))
+    return LambdaRat(p, times_one_minus_l(r_product((0,) * i + (1,) * j), k))
 
 
 split_lrats = st.builds(over_split, polys, st.integers(0, 4), st.integers(0, 2), st.integers(0, 2))
@@ -126,9 +97,9 @@ split_lrats = st.builds(over_split, polys, st.integers(0, 4), st.integers(0, 2),
 @given(split_lrats, split_lrats, split_lrats, st.integers(-3, 3))
 def test_every_operation_stores_the_canonical_split(a, b, c, n):
     outs = [a, a + b, a - b, -a, a * b, a * 3, dot([(2, a, b), (-1, b, c), (3, c, ONE)]),
-            LambdaRat(a.num, b.den), LambdaRat(b.den, c.den)]
+            LambdaRat(num_coeffs(a), den_coeffs(b)), LambdaRat(den_coeffs(b), den_coeffs(c))]
     if a:
-        outs += [a.inverse(), b / a, a ** n, LambdaRat(b.den, a.num)]
+        outs += [a.inverse(), b / a, a ** n, LambdaRat(den_coeffs(b), num_coeffs(a))]
     elif n >= 0:
         outs.append(a ** n)
     for v in outs:
@@ -142,7 +113,7 @@ def test_powers_of_one_minus_l_stay_canonical(a, b):
         check_canonical(v)
         # the general constructor reduces num / den by a gcd; a value the
         # gcd-free path left unreduced would come out different
-        assert_same(LambdaRat(v.num, v.den), v)
+        assert_same(LambdaRat(num_coeffs(v), den_coeffs(v)), v)
 
 
 @seeded
@@ -150,9 +121,9 @@ def test_powers_of_one_minus_l_stay_canonical(a, b):
 def test_cancelling_sum_over_a_power_of_one_minus_l(n, m, k, extra):
     # n / (1 - L)^e + (m (1 - L)^k - n) / (1 - L)^e = m / (1 - L)^(e - k)
     e = k + extra
-    rest = [c - d for c, d in zip_longest(times_one_minus_l(m.coeffs, k), n.coeffs, fillvalue=0)]
+    rest = [c - d for c, d in zip_longest(times_one_minus_l(m, k), n, fillvalue=0)]
     a = LambdaRat(n, one_minus_l_pow(e))
-    b = LambdaRat(LambdaPoly(rest), one_minus_l_pow(e))
+    b = LambdaRat(rest, one_minus_l_pow(e))
     assert_same(a + b, LambdaRat(m, one_minus_l_pow(e - k)))
 
 
@@ -161,7 +132,7 @@ def test_cancelling_sum_over_a_power_of_one_minus_l(n, m, k, extra):
 def test_polynomials_and_constants_hash_like_their_plain_types(p, b, f, a):
     v = LambdaRat(p) * b / b
     assert v.is_poly
-    assert v == LambdaRat(p) and v.num.coeffs == p.coeffs
+    assert v == LambdaRat(p) and num_coeffs(v) == p
     w = (a + f) - a
     assert w == f and w == lrat(f)
     assert hash(w) == hash(f)
@@ -172,7 +143,7 @@ def test_polynomials_and_constants_hash_like_their_plain_types(p, b, f, a):
     assert const == w and hash(const) == hash(w)
     assert {w: "found"}[const] == "found" and {const: "found"}[w] == "found"
     u = LambdaRat(p) * f
-    assert u == LambdaRat([c * f for c in p.coeffs])
+    assert u == LambdaRat([c * f for c in p])
     assert {XPoly.const(u): "found"}[u] == "found"
 
 
@@ -224,7 +195,7 @@ def check_dot(terms):
     v = dot(terms)
     assert_same(v, pairwise(terms))
     check_canonical(v)
-    assert_same(LambdaRat(v.num, v.den), v)
+    assert_same(LambdaRat(num_coeffs(v), den_coeffs(v)), v)
     # + reduces through the same kernel, so the fold alone would miss a
     # kernel fault; values at points of L in Fraction arithmetic share none
     for t in POINTS:
@@ -261,9 +232,9 @@ def test_dot_strips_a_cancelled_power_of_one_minus_l(n, m, k, extra, f):
     # n / (1 - L)^e + (m (1 - L)^k - n) / (1 - L)^e = m / (1 - L)^(e - k),
     # times f, with the second term split over two weights
     e = k + extra
-    rest = [c - d for c, d in zip_longest(times_one_minus_l(m.coeffs, k), n.coeffs, fillvalue=0)]
+    rest = [c - d for c, d in zip_longest(times_one_minus_l(m, k), n, fillvalue=0)]
     a = LambdaRat(n, one_minus_l_pow(e))
-    b = LambdaRat(LambdaPoly(rest), one_minus_l_pow(e))
+    b = LambdaRat(rest, one_minus_l_pow(e))
     v = check_dot([(1, a, f), (3, b, f), (-2, b, f)])
     assert_same(v, LambdaRat(m, one_minus_l_pow(e - k)) * f)
 
@@ -285,23 +256,15 @@ def test_dot_over_powers_of_one_minus_l_runs_no_gcd(terms):
     assert_same(v, check_dot(terms))
 
 
-# Denominators (1 - L)^e * r with r a product of up to three of these
-# factors, repeats allowed: 1 + L, 2 - L, 1 + L^2 and 3 + L.  Distinct r
+# Denominators (1 - L)^e * r with r a product of up to three of the factors
+# R_FACTORS, repeats allowed: 1 + L, 2 - L, 1 + L^2 and 3 + L.  Distinct r
 # of one sum often share a factor, like (1 + L)(2 - L) beside 1 + L, so
 # their common denominator is an lcm and not the product.
-R_FACTORS = ([1, 1], [2, -1], [1, 0, 1], [3, 1])
 r_picks = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(lambda k: tuple(sorted(k)))
 
 
-def r_product(picks):
-    r = [1]
-    for i in picks:
-        r = _imul(r, R_FACTORS[i])
-    return r
-
-
 def over_r(p, picks, e):
-    return LambdaRat(p, LambdaPoly(times_one_minus_l(r_product(picks), e)))
+    return LambdaRat(p, times_one_minus_l(r_product(picks), e))
 
 
 @st.composite
@@ -311,7 +274,7 @@ def distinct_r_terms(draw):
     terms = []
     for picks in draw(st.lists(r_picks, min_size=3, max_size=5, unique=True)):
         x = draw(st.builds(over_r, nonzero_polys, st.just(picks), st.integers(0, 3)).filter(
-            lambda v: scalar._parts(v.q)[1] == tuple(r_product(picks))))
+            lambda v: v.r == tuple(r_product(picks))))
         y = draw(st.one_of(polys.map(LambdaRat), power_lrats, mixed_lrats))
         terms.append((draw(st.integers(-4, 4)), x, y))
     return terms
@@ -345,19 +308,19 @@ def test_dot_puts_distinct_r_over_their_lcm():
     b = over_r([1], (0, 1), 0)
     c = over_r([1], (1,), 0)
     v = check_dot([(1, a, ONE), (1, b, ONE), (-1, c, ONE)])
-    assert (v.a, v.b, v.p) == (1, 1, (2, -2, 1))
-    assert v.q == tuple(_imul(times_one_minus_l([1], 1), r_product((0, 1))))
+    assert (v.a, v.b, v.p, v.e, v.r) == (1, 1, (2, -2, 1), 1, tuple(r_product((0, 1))))
 
 
 # ---------------------------------------------------------------------------
-# The printers against a reference that walks the Fraction coefficients of
-# the .num/.den views, as the plain and LaTeX printers once did.
+# The printers against a reference that walks the coefficients of the
+# numerator, as Fractions, and of the whole denominator, as the plain and
+# LaTeX printers once did.
 
-def ref_lpoly_str(p: LambdaPoly) -> str:
-    if not p.coeffs:
+def ref_lpoly_str(cs) -> str:
+    if not cs:
         return "0"
     parts = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(cs):
         if not c:
             continue
         mag = -c if c < 0 else c
@@ -376,17 +339,17 @@ def ref_lpoly_str(p: LambdaPoly) -> str:
 
 def ref_str(v: LambdaRat) -> str:
     if v.is_poly:
-        return ref_lpoly_str(v.num)
-    return f"({ref_lpoly_str(v.num)}) / ({ref_lpoly_str(v.den)})"
+        return ref_lpoly_str(num_coeffs(v))
+    return f"({ref_lpoly_str(num_coeffs(v))}) / ({ref_lpoly_str(den_coeffs(v))})"
 
 
 def ref_embed_str(v: LambdaRat) -> str:
-    num = ref_lpoly_str(v.num)
+    num = ref_lpoly_str(num_coeffs(v))
     if v.is_poly:
         return num
-    if sum(1 for c in v.num.coeffs if c) == 1:
-        return f"{num}/({ref_lpoly_str(v.den)})"
-    return f"({num})/({ref_lpoly_str(v.den)})"
+    if sum(1 for c in num_coeffs(v) if c) == 1:
+        return f"{num}/({ref_lpoly_str(den_coeffs(v))})"
+    return f"({num})/({ref_lpoly_str(den_coeffs(v))})"
 
 
 def ref_xpoly_str(p: XPoly) -> str:
@@ -397,8 +360,9 @@ def ref_xpoly_str(p: XPoly) -> str:
         c = p.coeffs[k]
         if c.is_zero:
             continue
-        if c.is_poly and len(c.num.coeffs) == 1 and c.num.coeffs[0] > 0:
-            parts.append(f"{c.num.coeffs[0]}*x^{k}")
+        num = num_coeffs(c)
+        if c.is_poly and len(num) == 1 and num[0] > 0:
+            parts.append(f"{num[0]}*x^{k}")
         else:
             parts.append(f"({ref_embed_str(c)})*x^{k}")
     return " + ".join(parts)
@@ -411,11 +375,11 @@ def ref_latex_fraction(fr: Fraction) -> str:
     return f"{sign}\\frac{{{abs(fr.numerator)}}}{{{fr.denominator}}}"
 
 
-def ref_latex_lpoly(p: LambdaPoly) -> str:
-    if not p.coeffs:
+def ref_latex_lpoly(cs) -> str:
+    if not cs:
         return "0"
     parts = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(cs):
         if not c:
             continue
         mag = abs(c)
@@ -433,8 +397,8 @@ def ref_latex_lpoly(p: LambdaPoly) -> str:
 
 def ref_latex_lrat(v: LambdaRat) -> str:
     if v.is_poly:
-        return ref_latex_lpoly(v.num)
-    return f"\\frac{{{ref_latex_lpoly(v.num)}}}{{{ref_latex_lpoly(v.den)}}}"
+        return ref_latex_lpoly(num_coeffs(v))
+    return f"\\frac{{{ref_latex_lpoly(num_coeffs(v))}}}{{{ref_latex_lpoly(den_coeffs(v))}}}"
 
 
 def ref_latex_xpoly(p: XPoly) -> str:
@@ -451,7 +415,7 @@ def ref_latex_xpoly(p: XPoly) -> str:
             if c == 1:
                 body = xpow
             else:
-                if not c.is_poly or len([t for t in c.num.coeffs if t]) > 1:
+                if not c.is_poly or len([t for t in num_coeffs(c) if t]) > 1:
                     body = f"\\left({body}\\right){xpow}"
                 else:
                     body = f"{body}\\,{xpow}"
@@ -470,7 +434,8 @@ printed_xpolys = st.lists(printed, max_size=4).map(XPoly)
 def check_printed(v: LambdaRat):
     assert str(v) == ref_str(v)
     assert v.embed_str() == ref_embed_str(v)
-    assert str(LambdaRat(v.num)) == ref_lpoly_str(v.num)
+    num = num_coeffs(v)
+    assert str(LambdaRat(num)) == ref_lpoly_str(num)
     assert latex_lrat(v) == ref_latex_lrat(v)
 
 

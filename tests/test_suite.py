@@ -334,6 +334,10 @@ ROUTE_ROWS = [
     # remark reads the order-1 row; thm1 at r = 2 recombines, J^(-2), from the order-2 row
     pytest.param(frobenius, "fe_numbers", _bump_number_at((1, 2)),
                  {"thm2", "cor3", "cor4", "thm5", "thm6", "thm1_roundtrip"}, id="split-sum-rows"),
+    # remark's right side reads the order-1 row; thm1 at r = 1 recombines from it
+    pytest.param(frobenius, "fe_numbers", _bump_number_at((1, 1)),
+                 {"cor3", "cor4", "remark", "thm1_roundtrip", "thm2", "thm5", "thm6"},
+                 id="order-one-rows"),
     pytest.param(frobenius, "_surjection_row", _bump_surjections_onto_two,
                  {"thm2", "cor3", "cor4", "thm5", "thm6", "remark"}, id="surjection-counts"),
     pytest.param(frobenius, "stirling_lambda", _bump_stirling_at_two,

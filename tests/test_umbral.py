@@ -302,3 +302,7 @@ def test_series_come_from_the_library_alone():
         TruncSeries([1, 2], 3)
     with pytest.raises(TypeError):
         TruncSeries()
+    # products are series by series: a scalar factor on either side is refused
+    for product in (lambda s: s * 2, lambda s: ONE * s):
+        with pytest.raises(TypeError):
+            product(TruncSeries.one(2))

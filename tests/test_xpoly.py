@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from feuler.frobenius import fe_poly
-from feuler.scalar import LAMBDA, NEG_INF, ONE, LambdaPoly, LambdaRat
+from feuler.scalar import LAMBDA, NEG_INF, ONE, LambdaRat
 from feuler.xpoly import X, XPoly
 
 from genutil import rand_lrat, rand_xpoly
@@ -14,15 +14,14 @@ L = LAMBDA
 
 
 def test_canonical_string():
-    h1 = LambdaRat(LambdaPoly([-1]), LambdaPoly([1, -1]))
+    h1 = LambdaRat([-1], [1, -1])
     p = XPoly([h1, 0, 1])
     assert str(p) == "1*x^2 + (-1/(1 - 1*L))*x^0"
     assert str(X) == "1*x^1"
     assert str(XPoly([])) == "0"
     assert str(XPoly([Fraction(3, 2), -2])) == "(-2)*x^1 + 3/2*x^0"
     assert str(XPoly([0, L])) == "(1*L)*x^1"
-    assert str(XPoly([LambdaRat(LambdaPoly([1, 1]), LambdaPoly([1, -2, 1]))])) \
-        == "((1 + 1*L)/(1 - 2*L + 1*L^2))*x^0"
+    assert str(XPoly([LambdaRat([1, 1], [1, -2, 1])])) == "((1 + 1*L)/(1 - 2*L + 1*L^2))*x^0"
 
 
 def test_degree_and_leading():
