@@ -40,7 +40,7 @@ from .xpoly import X, XPoly
 
 
 MAX_DEPTH = 100  # parentheses and unary minus signs, counted together
-MAX_DEGREE = 1000  # powers in x and L; convert --order; stirling --n/--k; verify ±--r, --s, --k
+MAX_DEGREE = 1000  # powers in x and L; convert ±--order; stirling --n/--k; verify ±--r, --s, --k
 MAX_BITS = 10000  # of a parsed coefficient's integers; str() of an int fails past 4300 digits
 MAX_OUT_BITS = 14284  # of a value's integers at --lambda: 2^14284 < 10^4300, str()'s limit
 MAX_INDEX = 9999  # verify's thm1_roundtrip --index: each earlier input is drawn first
@@ -107,7 +107,7 @@ class _Parser:
                     raise PolyParseError("division by a polynomial in x", pos)
                 if rhs.is_zero:
                     raise PolyParseError("division by zero", pos)
-            if max(map(sum, zip(_degrees(v), _degrees(rhs)))) > MAX_DEGREE:
+            if max(map(sum, zip(_degrees(v.coeffs), _degrees(rhs.coeffs)))) > MAX_DEGREE:
                 raise PolyParseError(f"product of degree above {MAX_DEGREE}", pos)
             if _bits(v) + _bits(rhs) > MAX_BITS:
                 raise PolyParseError(f"coefficient of more than {MAX_BITS} bits", pos)
@@ -123,7 +123,7 @@ class _Parser:
                 raise PolyParseError("expected a nonnegative integer exponent", pos)
             self.advance()
             n = _int(text, pos)
-            if n > MAX_DEGREE or max(_degrees(v)) * n > MAX_DEGREE:
+            if n > MAX_DEGREE or max(_degrees(v.coeffs)) * n > MAX_DEGREE:
                 raise PolyParseError(f"power of degree above {MAX_DEGREE}", pos)
             v = _bounded(_bounded(v, pos, n) ** n, pos)
         return v
@@ -173,10 +173,10 @@ class _Parser:
         return Fraction(num)
 
 
-def _degrees(v: XPoly) -> tuple:
-    """v's degree in x and the largest degree in L of a numerator or denominator,
-    each of which adds up over a product."""
-    return len(v.coeffs) - 1, max((max(len(c.p), c.e + len(c.r)) - 1 for c in v.coeffs), default=0)
+def _degrees(coeffs) -> tuple:
+    """The degree in x of the polynomial with these coefficients and the largest
+    degree in L of a numerator or denominator, each of which adds up over a product."""
+    return len(coeffs) - 1, max((max(len(c.p), c.e + len(c.r)) - 1 for c in coeffs), default=0)
 
 
 def _bits(v: XPoly) -> int:
@@ -280,14 +280,18 @@ class TooLargeToPrint(ValueError):
     """A value at --lambda with an integer that str() may not convert."""
 
 
-def _at_lambda(values, lam: Fraction) -> list:
-    """Each value of Q(L) at lam.  Raises PoleError at a pole, and TooLargeToPrint
-    when a value would print an integer past MAX_OUT_BITS bits: estimated first
-    as the degree in L times lam's bits, which bounds the time, then checked."""
+def _at_lambda(values, lam: Fraction | None):
+    """Each value of Q(L) at lam, or values as they are when lam is None.  Raises
+    PoleError at a pole, and TooLargeToPrint when a value would print an integer
+    past MAX_OUT_BITS bits: estimated first as the degree in L times lam's bits,
+    which bounds the time, then checked."""
+    if lam is None:
+        return values
+
     def bits(v: Fraction) -> int:
         return max(abs(v.numerator).bit_length(), v.denominator.bit_length())
 
-    degree = max((max(len(v.p), v.e + len(v.r)) - 1 for v in values), default=0)
+    _, degree = _degrees(values)
     if degree * bits(lam) <= MAX_OUT_BITS:
         out = [v.evaluate(lam) for v in values]
         if all(bits(v) <= MAX_OUT_BITS for v in out):
@@ -335,11 +339,8 @@ def _write(args, header, rows, latex, json_lines, plain=None) -> None:
 
 def _cmd_numbers(args) -> int:
     r = args.order
-    values = frobenius.fe_numbers(args.n_max, r)
-    at = "(\\lambda)"
-    if args.lam is not None:
-        values = _at_lambda(values, args.lam)
-        at = ""
+    values = _at_lambda(frobenius.fe_numbers(args.n_max, r), args.lam)
+    at = "(\\lambda)" if args.lam is None else ""
     latex = (f"H_{{{n}}}^{{({r})}}{at} = {latex_lrat(v)} \\\\" for n, v in enumerate(values))
     _write(args, ("n", "value"), enumerate(values), latex, lambda: [_json_text(
         {"order": r, "values": [{"n": n, "value": str(v)} for n, v in enumerate(values)]})])
@@ -361,9 +362,7 @@ def _cmd_poly(args) -> int:
 def _cmd_convert(args) -> int:
     p = parse_poly_expr(args.poly)
     e = frobenius.to_fe_basis(p, args.order)
-    coeffs = list(e.coefficients)
-    if args.lam is not None:
-        coeffs = _at_lambda(coeffs, args.lam)
+    coeffs = _at_lambda(e.coefficients, args.lam)
     latex = (f"C_{{{k}}} = {latex_lrat(c)} \\\\" for k, c in enumerate(coeffs))
     _write(args, ("k", "value"), enumerate(coeffs), latex, lambda: [_json_text(
         {"order": args.order, "poly": str(p),
@@ -372,9 +371,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
-    v = frobenius.stirling_lambda(args.n, args.k)
-    if args.lam is not None:
-        [v] = _at_lambda([v], args.lam)
+    [v] = _at_lambda([frobenius.stirling_lambda(args.n, args.k)], args.lam)
     head = f"S_{{\\lambda}}({args.n},{args.k}) = "
     _write(args, ("n", "k", "value"), [(args.n, args.k, v)], (head + latex_lrat(w) for w in [v]),
            lambda: [_json_text({"n": args.n, "k": args.k, "value": str(v)})], [v])
@@ -458,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", parents=[fmt, lam],
                        help="expand a polynomial expression in the order-r basis")
     p.add_argument("--poly", required=True, metavar="EXPR")
-    p.add_argument("--order", type=_int_in(0, MAX_DEGREE), default=1)
+    p.add_argument("--order", type=_int_in(-MAX_DEGREE, MAX_DEGREE), default=1)
     p.set_defaults(run=_cmd_convert)
 
     p = sub.add_parser("stirling", parents=[fmt, lam],

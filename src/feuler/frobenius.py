@@ -74,15 +74,23 @@ def clear_caches():
 
 
 def fe_numbers(n_max: int, r: int = 1) -> list:
-    """Numbers H_0^{(r)}(L) .. H_{n_max}^{(r)}(L), any integer order."""
-    return _row(r, n_max)[: n_max + 1]
+    """Numbers H_0^{(r)}(L) .. H_{n_max}^{(r)}(L), any integer order; none for
+    n_max < 0, so that J of the zero polynomial reads no row."""
+    return _row(r, n_max)[: n_max + 1] if n_max >= 0 else []
+
+
+def _refuse_negative(*sizes) -> None:
+    """Raise ValueError naming the first negative value among the (name, value)
+    pairs; each builder calls it before it reads or writes a memo."""
+    for name, value in sizes:
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @lru_cache(maxsize=None)
 def fe_poly(n: int, r: int = 1) -> XPoly:
     """The monic degree-n polynomial H_n^{(r)}(x|L), n >= 0."""
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    _refuse_negative(("degree n", n))
     row = _row(r, n)
     # row entries have integer content (b == 1), which C(n, l) scales, and r = 1
     return XPoly([LambdaRat._make(comb(n, l) * h.a, 1, h.p, h.e)
@@ -92,8 +100,7 @@ def fe_poly(n: int, r: int = 1) -> XPoly:
 def fe_series(r: int, trunc: int) -> TruncSeries:
     """The series ((e^t - L)/(1 - L))^r that the order-r sequence inverts, sliced
     from one power per order: its coefficient k does not depend on trunc."""
-    if trunc < 0:
-        raise ValueError(f"truncation trunc must be >= 0, got {trunc}")
+    _refuse_negative(("truncation trunc", trunc))
     full = _longest_series(r, max(16, 1 << (trunc - 1).bit_length()))
     return TruncSeries._raw(full.coeffs[:trunc + 1])
 
@@ -137,6 +144,7 @@ def _j_at_zero(m: int, r: int) -> LambdaRat:
 
 def delta_pow_at_zero(n: int, k: int) -> LambdaRat:
     """k-th power of the difference p(x) -> p(x+1) - L p(x), on x^n, at 0."""
+    _refuse_negative(("degree n", n), ("power k", k))
     # integer coefficients in L of sum_j C(k,j)(-L)^{k-j} j^n, with 0^0 = 1:
     # the coefficient of L^m is C(k,m)(-1)^m (k-m)^n, the m-th entry of the
     # row of (1 - L)^k times (k-m)^n; the last, 0^n, is zero for n > 0 and
@@ -172,6 +180,7 @@ def _surjection_row(l: int, m_max: int) -> list:
 def surjection_sum(l: int, m: int) -> int:
     """Sum of multinomial(l; k_1..k_m) over compositions of l into m parts >= 1:
     the number of surjections from an l-set onto an m-set."""
+    _refuse_negative(("set size l", l), ("set size m", m))
     return _surjection_row(l, m)[m]
 
 
@@ -183,6 +192,7 @@ def lowering_coeff(s: int, l: int) -> LambdaRat:
     past M vanishes, since C(s,m) = 0 for m > s and no l-set maps onto a
     larger set.  The counts are one row, looked up by name when it runs.
     """
+    _refuse_negative(("steps s", s), ("index l", l))
     m_max = min(s, l)
     surj = _surjection_row(l, m_max)
     return dot((comb(s, m) * surj[m], ONE, LambdaRat._make(1, 1, (1,), m))

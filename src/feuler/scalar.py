@@ -224,15 +224,14 @@ def _ieval(a, x):
     return v
 
 
-def _ipow(a, n: int) -> list:
-    out = [1]
-    base = a
+def _power(base, n: int, mul, out):
+    """base^n, n >= 0, by repeated squaring under mul, from out, the unit."""
     while n:
         if n & 1:
-            out = _imul(out, base)
+            out = mul(out, base)
         n >>= 1
         if n:
-            base = _imul(base, base)
+            base = mul(base, base)
     return out
 
 
@@ -601,8 +600,8 @@ class LambdaRat:
             return self.inverse() ** (-n)
         if not self.p:
             return ZERO
-        return LambdaRat._make(self.a ** n, self.b ** n, tuple(_ipow(self.p, n)),
-                               self.e * n, tuple(_ipow(self.r, n)))
+        return LambdaRat._make(self.a ** n, self.b ** n, tuple(_power(self.p, n, _imul, [1])),
+                               self.e * n, tuple(_power(self.r, n, _imul, [1])))
 
     def evaluate(self, point) -> Fraction:
         """(a / b) p(x) / ((1 - x)^e r(x)) at a rational point x of L; raises

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .scalar import NEG_INF, ONE, ZERO, LambdaRat, _coerce, dot, lrat
+from .scalar import NEG_INF, ONE, ZERO, LambdaRat, _coerce, _power, dot, lrat
 
 
 class XPoly:
@@ -115,15 +115,7 @@ class XPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = XPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, XPoly.__mul__, XPoly.const(1))
 
     def derivative(self) -> "XPoly":
         """The derivative with respect to x."""

@@ -193,7 +193,7 @@ def test_cli_poly_variants():
 def test_cli_convert_round_trip():
     expr = "x^3 - 2*x + 1/3"
     p = parse_poly_expr(expr)
-    for order in (0, 1, 3):
+    for order in (0, 1, 3, -2):
         code, out, _ = run_cli("convert", "--poly", expr,
                                "--order", str(order), "--format", "json")
         assert code == 0
@@ -262,6 +262,8 @@ def test_cli_work_limits_are_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "MAX_ORDER", 3)
     assert run_cli("convert", "--poly", "x", "--order", "3")[0] == 0
     assert run_cli("convert", "--poly", "x", "--order", "4")[:2] == (2, "")
+    assert run_cli("convert", "--poly", "x", "--order", "-3")[0] == 0
+    assert run_cli("convert", "--poly", "x", "--order", "-4")[:2] == (2, "")
     assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "2")[0] == 0
     assert run_cli("verify", "--identity", "thm1_roundtrip", "--index", "3")[:2] == (2, "")
     assert run_cli("numbers", "--n-max", "2")[0] == 0
@@ -422,11 +424,12 @@ def test_cli_verify_roundtrip_seeded():
         (("stirling", "--n", "-1", "--k", "2"), "--n: must be >= 0"),
         (("stirling", "--n", "3", "--k", "-1"), "--k: must be >= 0"),
         (("poly", "--n", "-2"), "--n: must be >= 0"),
-        (("convert", "--poly", "x", "--order", "-1"), "--order: must be >= 0"),
         (("convert", "--poly", "1/(1+L)", "--lambda", "-1"), "pole at L = -1"),
         # past the caps on the work of one call, exit 2 at once
         (("convert", "--poly", "x", "--order", str(MAX_DEGREE + 1)),
          f"--order: must be <= {MAX_DEGREE}"),
+        (("convert", "--poly", "x", "--order", str(-MAX_DEGREE - 1)),
+         f"--order: must be >= {-MAX_DEGREE}"),
         (("verify", "--identity", "thm1_roundtrip", "--index", str(MAX_INDEX + 1)),
          f"--index: must be <= {MAX_INDEX}"),
         (("verify", "--identity", "thm1_roundtrip", "--index", "100000000"),

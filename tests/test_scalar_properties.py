@@ -1,7 +1,8 @@
 """Property tests of the canonical form of Q(L): equal values are one value.
 
 Examples are drawn by Hypothesis with a derandomized, fixed budget, so a
-run always tries the same values and the tier-1 time stays bounded.
+run always tries the same values and the tier-1 time stays bounded.  The
+last test draws negative sizes for the builders of ``frobenius``.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from feuler import scalar  # noqa: E402
+from feuler import frobenius, scalar  # noqa: E402
 from feuler.cli import latex_lrat, latex_xpoly  # noqa: E402
 from feuler.scalar import (  # noqa: E402
     LAMBDA, ONE, ZERO, LambdaRat, _igcd, _imul, _iprim, _iquo, _itrim, _prs_gcd, dot, lrat)
@@ -464,3 +465,29 @@ def test_xpolys_print_like_the_fraction_reference(p):
 def test_rationals_print_like_the_fraction_reference(f):
     assert latex_lrat(f) == ref_latex_fraction(f)
     assert str(lrat(f)) == str(f)
+
+
+# each builder, and the name each of its size arguments goes by in its refusal
+SIZED_BUILDERS = [
+    (frobenius.fe_poly, {0: "degree n"}),
+    (frobenius.fe_series, {1: "truncation trunc"}),
+    (frobenius.delta_pow_at_zero, {0: "degree n", 1: "power k"}),
+    (frobenius.stirling_lambda, {0: "degree n", 1: "power k"}),
+    (frobenius.lowering_coeff, {0: "steps s", 1: "index l"}),
+    (frobenius.surjection_sum, {0: "set size l", 1: "set size m"}),
+]
+
+
+@seeded
+@given(st.sampled_from([(build, i, name) for build, names in SIZED_BUILDERS
+                        for i, name in names.items()]),
+       st.integers(max_value=-1), st.lists(st.integers(0, 5), min_size=2, max_size=2))
+def test_negative_sizes_are_refused_and_leave_every_memo_as_it_was(sized, negative, args):
+    build, i, name = sized
+    sizes = [m.cache_info().currsize for m in frobenius._MEMOS]
+    args[i] = negative
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {negative}$"):
+        build(*args)
+    # warm or cold, the row of this order gives no entry to a negative n_max
+    assert frobenius.fe_numbers(negative, args[1 - i]) == []
+    assert [m.cache_info().currsize for m in frobenius._MEMOS] == sizes
